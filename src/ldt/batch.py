@@ -17,14 +17,17 @@ at once, cheapest proof first:
     then an exact cone-membership solve, capped in high dimension.
 
 Floating point only ever proposes.  Every accepted sign carries an
-exact integer or rational certificate, so a wrong answer is impossible;
-the only cost of a missed proof is a hyperplane left undetermined.
+exact certificate, so a wrong answer is impossible; the only cost of a
+missed proof is a hyperplane left undetermined.  The exact algebra, the
+integer kernel basis of the equalities and the support solves that
+verify least-squares proposals, is fraction-free integer elimination
+from intlin; only the last-resort cone-membership solve runs lp's
+rational simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
@@ -33,7 +36,13 @@ from scipy.optimize import linprog
 from scipy.optimize import nnls as scipy_nnls
 
 from .geometry import Sign, Vector
-from .inference import CellDescription, InferenceOutcome, infer_sign
+from .inference import (
+    CellDescription,
+    InconsistentSampleError,
+    InferenceOutcome,
+    infer_sign,
+)
+from .intlin import kernel_basis, nonnegative_solution
 from .lp import cone_member
 from .prng import SplitMix64
 
@@ -63,67 +72,10 @@ def _split_blocks(sample) -> tuple[list[list[int]], list[Sign]]:
     labels = []
     for blk in blocks:
         lab = sample.labels[blk[0]]
-        assert all(sample.labels[p] is lab for p in blk), "tied values, differing labels"
+        if any(sample.labels[p] is not lab for p in blk):
+            raise InconsistentSampleError("tied values with differing labels")
         labels.append(lab)
     return blocks, labels
-
-
-def _rref(rows: list[list[Fraction]], n: int) -> tuple[list[list[Fraction]], list[int]]:
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = row[:]
-        for b, p in zip(basis, pivots):
-            if row[p]:
-                f = row[p]
-                row = [a - f * bb for a, bb in zip(row, b)]
-        lead = next((j for j in range(n) if row[j]), None)
-        if lead is None:
-            continue
-        inv = Fraction(1) / row[lead]
-        row = [a * inv for a in row]
-        for b, p in zip(basis, pivots):
-            if b[lead]:
-                f = b[lead]
-                b[:] = [a - f * rr for a, rr in zip(b, row)]
-        basis.append(row)
-        pivots.append(lead)
-    return basis, pivots
-
-
-def _kernel_basis(e_rows: list[Vector], n: int) -> list[list[int]]:
-    """Integer basis of the common kernel of the given functionals.
-
-    Returned as a list of columns; coordinates of the reduced space are
-    the free columns of the row-reduced equality system.
-    """
-    basis, pivots = _rref([[Fraction(c) for c in v.coords] for v in e_rows], n)
-    pivot_set = set(pivots)
-    cols: list[list[int]] = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        col = [Fraction(0)] * n
-        col[f] = Fraction(1)
-        for row, p in zip(basis, pivots):
-            col[p] = -row[f]
-        den = 1
-        for q in col:
-            den = den * q.denominator // _gcd(den, q.denominator)
-        ints = [int(q * den) for q in col]
-        g = 0
-        for v in ints:
-            g = _gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        cols.append(ints)
-    return cols
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -158,44 +110,48 @@ class _ChainCell:
 
 def _chain_cell(sample, dim: int) -> _ChainCell | None:
     """Build the reduced cell; None when the data is not integral."""
-    if any(v.ints is None for _, v in sample.members):
+    vecs = [v.ints for _, v in sample.members]
+    if any(v is None for v in vecs):
         return None
     blocks, blabels = _split_blocks(sample)
     zero_blocks = [i for i, lab in enumerate(blabels) if lab is Sign.ZERO]
-    assert len(zero_blocks) <= 1
-    e_rows: list[Vector] = []
-    reps_full: list[Vector] = []
+    if len(zero_blocks) > 1:
+        raise InconsistentSampleError("zero-labelled members in two separate blocks")
+    origin = (0,) * dim
+    e_rows: list[list[int]] = []
+    reps_full: list[tuple[int, ...]] = []
     if zero_blocks:
         z = zero_blocks[0]
         for i, blk in enumerate(blocks):
             if i == z:
-                reps_full.append(Vector.zero(dim))
-                e_rows.extend(sample.members[p][1] for p in blk)
+                reps_full.append(origin)
+                e_rows.extend(vecs[p] for p in blk)
             else:
-                rep = sample.members[blk[0]][1]
+                rep = vecs[blk[0]]
                 reps_full.append(rep)
-                e_rows.extend(sample.members[p][1] - rep for p in blk[1:])
+                e_rows.extend([b - a for a, b in zip(rep, vecs[p])] for p in blk[1:])
     else:
         z = sum(1 for lab in blabels if lab is Sign.MINUS)
         for i, blk in enumerate(blocks):
-            rep = sample.members[blk[0]][1]
+            rep = vecs[blk[0]]
             reps_full.append(rep)
-            e_rows.extend(sample.members[p][1] - rep for p in blk[1:])
-        reps_full.insert(z, Vector.zero(dim))
+            e_rows.extend([b - a for a, b in zip(rep, vecs[p])] for p in blk[1:])
+        reps_full.insert(z, origin)
 
     if e_rows:
-        kb = _kernel_basis(e_rows, dim)
+        kb = kernel_basis(e_rows, dim)
         n_red = len(kb)
         reps = [_reduce_vec(v, kb) for v in reps_full]
     else:
         kb = None
         n_red = dim
-        reps = [v.ints if v.ints is not None else tuple(int(c) for c in v.coords) for v in reps_full]
+        reps = reps_full
     chain = [
         tuple(b - a for a, b in zip(reps[j], reps[j + 1]))
         for j in range(len(reps) - 1)
     ]
-    assert all(any(row) for row in chain), "consecutive blocks collapsed"
+    if not all(any(row) for row in chain):
+        raise InconsistentSampleError("a strict gap lies in the span of the equalities")
     cc = _ChainCell(dim, n_red, kb, reps, z, chain)
     # certification tiers: tiny cells run the dense rational simplex
     # freely, mid-size cells get a bounded number of calls, and beyond
@@ -212,12 +168,9 @@ def _chain_cell(sample, dim: int) -> _ChainCell | None:
     return cc
 
 
-def _reduce_vec(v: Vector, kb: list[list[int]]) -> tuple[int, ...]:
-    ints = v.ints
-    assert ints is not None
-    return tuple(
-        sum(h * col[i] for i, h in enumerate(ints) if h) for col in kb
-    )
+def _reduce_vec(v: Sequence[int], kb: list[list[int]]) -> tuple[int, ...]:
+    """Coordinates of v restricted to the kernel spanned by kb."""
+    return tuple(sum(h * col[i] for i, h in enumerate(v) if h) for col in kb)
 
 
 def _harvest_atoms(cc: _ChainCell) -> None:
@@ -474,70 +427,15 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         return np.zeros(A.shape[1]), float(np.linalg.norm(b))
 
 
-def _exact_support_solve(
-    cc: _ChainCell, support: Sequence[int], target: list[int]
-) -> bool:
-    """Solve target = sum c_j chain_j over the support, exactly.
-
-    Fraction-free forward elimination keeps every entry an integer;
-    rationals appear only in the back-substitution at the end.
-    """
-    nr = cc.n_red
-    cols = [cc.chain[j] for j in support]
-    k = len(cols)
-    M = [[int(col[i]) for col in cols] + [int(target[i])] for i in range(nr)]
-    piv_cols: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(k):
-        sel = next((i for i in range(r, nr) if M[i][c]), None)
-        if sel is None:
-            continue
-        if sel != r:
-            M[r], M[sel] = M[sel], M[r]
-        p = M[r][c]
-        pivot_row = M[r]
-        for i in range(r + 1, nr):
-            f = M[i][c]
-            M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], pivot_row)]
-        prev = p
-        piv_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    # rows past the rank are structurally zero; a leftover augmented
-    # entry there means the system is inconsistent
-    for i in range(r, nr):
-        if M[i][k]:
-            return False
-    coeffs = [Fraction(0)] * k
-    for idx in range(r - 1, -1, -1):
-        c = piv_cols[idx]
-        row = M[idx]
-        s = Fraction(row[k])
-        for c2 in range(c + 1, k):
-            if row[c2] and coeffs[c2]:
-                s -= row[c2] * coeffs[c2]
-        q = s / row[c]
-        if q < 0:
-            return False
-        coeffs[c] = q
-    # recompute to guard against elimination slips
-    for i in range(nr):
-        total = sum(q * col[i] for q, col in zip(coeffs, cols) if q)
-        if total != target[i]:
-            return False
-    return True
-
-
 def _exact_membership(cc: _ChainCell, target: list[int]) -> bool | None:
     """Is target in the chain cone?  None when the exact budget is spent."""
-    if cc.n_red > _EXACT_LP_DIM:
+    nr = cc.n_red
+    if nr > _EXACT_LP_DIM:
         return None
     if cc.chain:
         # supports repeat heavily across one round; replay recent hits
         for pos, support in enumerate(cc.support_cache):
-            if _exact_support_solve(cc, support, target):
+            if nonnegative_solution([cc.chain[j] for j in support], target, nr):
                 if pos:
                     cc.support_cache.insert(0, cc.support_cache.pop(pos))
                 return True
@@ -547,8 +445,8 @@ def _exact_membership(cc: _ChainCell, target: list[int]) -> bool | None:
         norm = max(1.0, float(np.abs(b).max()))
         if resid <= 1e-7 * norm:
             support = [int(j) for j in np.where(x > 1e-12)[0]]
-            if len(support) <= cc.n_red and _exact_support_solve(
-                cc, support, target
+            if len(support) <= nr and nonnegative_solution(
+                [cc.chain[j] for j in support], target, nr
             ):
                 cc.support_cache.insert(0, support)
                 del cc.support_cache[_SUPPORT_CACHE:]
@@ -648,7 +546,8 @@ def infer_set_batch(
 ) -> InferenceOutcome:
     """Decide every member of remaining against the sample cell."""
     sample = cell.sample
-    assert sample is not None
+    if sample is None:
+        raise ValueError("the batched engine needs a cell built from a sorted sample")
     n = cell.dim
     inferred: dict[int, Sign] = {}
     label_of = {ident: lab for (ident, _), lab in zip(sample.members, sample.labels)}
@@ -656,7 +555,8 @@ def infer_set_batch(
     rest: list[tuple[int, Vector]] = []
     for ident, v in remaining:
         if ident in label_of:
-            assert member_vec[ident] == v, "identifier reuse"
+            if member_vec[ident] != v:
+                raise ValueError(f"identifier {ident} names two different vectors")
             inferred[ident] = label_of[ident]
         else:
             rest.append((ident, v))

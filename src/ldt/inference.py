@@ -15,10 +15,11 @@ full quadratic one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .geometry import Sign, Vector, sign_of
+from .intlin import in_span, row_basis
 from .lp import HomogeneousSystem, cone_member, feasible, interior_witness
 from .oracle import HiddenPointOracle
 
@@ -38,12 +39,10 @@ class SortedSample:
     order: list[int]
     gap_signs: list[Sign]
 
-    def sorted_positions(self) -> list[int]:
-        return self.order
 
-
-class InconsistentSampleError(AssertionError):
-    """Sorted order and labels disagree; the oracle answers are corrupt."""
+class InconsistentSampleError(RuntimeError):
+    """Oracle answers about a sample contradict each other; no point
+    could have produced them."""
 
 
 def build_sorted_sample(
@@ -208,37 +207,12 @@ def infer_set(
     return InferenceOutcome(inferred, undetermined)
 
 
-def _span_basis(vectors: Sequence[Vector], dim: int) -> list[list[Fraction]]:
-    """Row-reduced basis of the span, for repeated membership tests."""
-    rows: list[list[Fraction]] = []
-    for v in vectors:
-        rows.append([Fraction(c) for c in v.coords])
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = row[:]
-        for b, p in zip(basis, pivots):
-            if row[p]:
-                f = row[p]
-                row = [a - f * bb for a, bb in zip(row, b)]
-        lead = next((j for j in range(dim) if row[j]), None)
-        if lead is None:
-            continue
-        inv = Fraction(1) / row[lead]
-        row = [a * inv for a in row]
-        basis.append(row)
-        pivots.append(lead)
-    return [b + [Fraction(p)] for b, p in zip(basis, pivots)]
-
-
-def _in_span(basis_rows: list[list[Fraction]], h: Vector) -> bool:
-    row = [Fraction(c) for c in h.coords]
-    for b in basis_rows:
-        p = int(b[-1])
-        if row[p]:
-            f = row[p]
-            row = [a - f * bb for a, bb in zip(row, b[:-1])]
-    return not any(row)
+def _int_row(v: Vector) -> list[int]:
+    """A positive integer multiple of v; span membership ignores scale."""
+    if v.ints is not None:
+        return list(v.ints)
+    den = lcm(*(c.denominator for c in v.coords))
+    return [int(c * den) for c in v.coords]
 
 
 def structural_infer(sample: SortedSample, h: Vector) -> Sign | None:
@@ -250,7 +224,6 @@ def structural_infer(sample: SortedSample, h: Vector) -> Sign | None:
     which forces the value of h above a known positive one.  MINUS is
     the mirror image.  Anything else returns None.
     """
-    dim = h.dim
     zero_members = [
         sample.members[i][1]
         for i in range(len(sample.members))
@@ -259,8 +232,8 @@ def structural_infer(sample: SortedSample, h: Vector) -> Sign | None:
     if h.is_zero():
         return Sign.ZERO
     if zero_members:
-        basis = _span_basis(zero_members, dim)
-        if _in_span(basis, h):
+        basis = row_basis(_int_row(v) for v in zero_members)
+        if in_span(basis, _int_row(h)):
             return Sign.ZERO
 
     def ascending(label: Sign) -> list[Vector]:

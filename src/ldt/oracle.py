@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .geometry import Sign, Vector, sign_of
 
@@ -119,7 +119,20 @@ class HiddenPointOracle:
     ) -> Sign:
         self._check_member(h1, "comparison")
         self._check_member(h2, "comparison")
-        answer = self._sign_at(h1 - h2)
+        a, b = h1.ints, h2.ints
+        if a is not None and b is not None:
+            # <h1, x> - <h2, x> without building the difference vector
+            if len(a) != self.dim or len(b) != self.dim:
+                raise ValueError(
+                    f"query dimensions {len(a)}, {len(b)} != oracle dimension {self.dim}"
+                )
+            total = 0
+            for u, v, x in zip(a, b, self._secret_ints):
+                if u != v:
+                    total += (u - v) * x
+            answer = sign_of(total)
+        else:
+            answer = self._sign_at(h1 - h2)
         self.ledger.comparison_count += 1
         if self.ledger.log is not None:
             entry = {"kind": "cmp", "answer": answer.char}
@@ -130,7 +143,3 @@ class HiddenPointOracle:
             self.ledger.log.append(entry)
         return answer
 
-
-def family_bundle(family: Sequence[Vector]) -> frozenset:
-    """Hashable view of a family, for strict-mode construction."""
-    return frozenset(family)

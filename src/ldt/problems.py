@@ -37,6 +37,9 @@ class InconsistentPatternError(RuntimeError):
 SUBSET_SUM_CAP = 16
 SUMSET_PAIR_CAP = 256
 KLDT_TUPLE_CAP = 20000
+# about the family size the subset-sum cap allows; 3-SUM is admitted up
+# to n=73 (C(73, 3) = 62196)
+KSUM_SUBSET_CAP = 1 << 16
 
 
 @dataclass
@@ -63,6 +66,11 @@ def encode_ksum(values: Sequence[Rational | int], k: int) -> Encoding:
         raise InstanceFormatError("no values given")
     if not 1 <= k <= n:
         raise InstanceFormatError(f"k={k} out of range for {n} values")
+    count = math.comb(n, k)
+    if count > KSUM_SUBSET_CAP:
+        raise SizeCapError(
+            f"{count} {k}-subsets of {n} values exceed cap {KSUM_SUBSET_CAP}"
+        )
     subsets = list(combinations(range(n), k))
     family = []
     for sub in subsets:

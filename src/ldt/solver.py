@@ -137,8 +137,8 @@ def solve(
         ss = build_sorted_sample(members, oracle)
         cell = cell_from_sample(ss, n)
         outcome = infer_set(cell, work)
-        for ident, _ in members:
-            assert ident in outcome.inferred, "sample member left unresolved"
+        if any(ident not in outcome.inferred for ident, _ in members):
+            raise RuntimeError("inference left a sample member unresolved")
         pattern.update(outcome.inferred)
         work = [(i, v) for i, v in work if i not in outcome.inferred]
         now = oracle.ledger.snapshot()

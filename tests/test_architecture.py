@@ -10,7 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ldt"
 
-SOLVER_SIDE = ["solver.py", "inference.py", "batch.py", "lp.py", "prng.py"]
+SOLVER_SIDE = ["solver.py", "inference.py", "batch.py", "intlin.py", "lp.py", "prng.py"]
 
 
 def _imports_of(path):

@@ -4,8 +4,17 @@ undetermined set, across random cells."""
 
 from fractions import Fraction
 
+import pytest
+
 from ldt.geometry import Sign, Vector
-from ldt.inference import build_sorted_sample, cell_from_sample, infer_set, infer_sign
+from ldt.inference import (
+    InconsistentSampleError,
+    SortedSample,
+    build_sorted_sample,
+    cell_from_sample,
+    infer_set,
+    infer_sign,
+)
 from ldt.batch import infer_set_batch
 from ldt.oracle import HiddenPointOracle
 from ldt.prng import SplitMix64
@@ -113,3 +122,35 @@ def test_sample_members_always_resolved():
         assert not out.undetermined
         for (ident, _), lab in zip(cell.sample.members, cell.sample.labels):
             assert out.inferred[ident] is lab
+
+
+P, Z, M = Sign.PLUS, Sign.ZERO, Sign.MINUS
+
+
+@pytest.mark.parametrize(
+    "vectors, labels, gaps",
+    [
+        # tied values with differing labels
+        ([(1, 0), (0, 1)], [M, P], [Z]),
+        # zero-valued members in two separate blocks
+        ([(1, 0), (0, 1)], [Z, Z], [P]),
+        # the strict gap from the tie {a, b} to c = 2a - b is an equality
+        ([(1, 0), (0, 1), (2, -1)], [P, P, P], [Z, P]),
+    ],
+)
+def test_contradictory_answers_raise_typed_error(vectors, labels, gaps):
+    members = [(i, Vector(v)) for i, v in enumerate(vectors)]
+    sample = SortedSample(members, labels, list(range(len(members))), gaps)
+    cell = cell_from_sample(sample, 2)
+    with pytest.raises(InconsistentSampleError):
+        infer_set_batch(cell, [(99, Vector([1, 1]))])
+
+
+def test_misuse_raises_value_error():
+    sample = SortedSample([(0, Vector([1, 0]))], [P], [0], [])
+    cell = cell_from_sample(sample, 2)
+    with pytest.raises(ValueError, match="names two different vectors"):
+        infer_set_batch(cell, [(0, Vector([0, 1]))])
+    cell.sample = None
+    with pytest.raises(ValueError, match="sorted sample"):
+        infer_set_batch(cell, [(1, Vector([0, 1]))])

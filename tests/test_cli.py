@@ -88,6 +88,13 @@ def test_cap_exit_code(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def test_ksum_cap_exit_code(tmp_path, capsys):
+    p = tmp_path / "big.txt"
+    p.write_text(" ".join(str(v) for v in range(80)) + "\n")
+    assert main(["solve", "ksum", "--input", str(p), "--k", "3"]) == 3
+    assert "refused:" in capsys.readouterr().err
+
+
 def test_kldt_k_mismatch(tmp_path, capsys):
     p = tmp_path / "l.txt"
     p.write_text("-3 1 1\n1 2 5\n")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldt.geometry import Sign, Vector
 from ldt.oracle import HiddenPointOracle, StrictModeViolation
@@ -64,3 +65,40 @@ def test_strict_mode_rejects_foreign_vectors():
         oracle.label_query(Vector([1, 1]))
     with pytest.raises(StrictModeViolation):
         oracle.comparison_query(Vector([1, 0]), Vector([1, 1]))
+
+
+coords = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.integers(min_value=1 << 62, max_value=(1 << 62) + 9),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_comparison_equals_label_of_difference(dim, data):
+    def vec():
+        return Vector(data.draw(st.lists(coords, min_size=dim, max_size=dim)))
+
+    secret, h1, h2 = vec(), vec(), vec()
+    compared = HiddenPointOracle(secret, log_queries=True)
+    expected = HiddenPointOracle(secret).label_query(h1 - h2)
+    assert compared.comparison_query(h1, h2) is expected
+    assert compared.ledger.snapshot() == (0, 1)
+    assert compared.ledger.log == [
+        {"kind": "cmp", "answer": expected.char, "vectors": [str(h1), str(h2)]}
+    ]
+
+
+@pytest.mark.parametrize("h1, h2", [
+    (Vector([1, 0, 0]), Vector([0, 1])),
+    (Vector([1, 0]), Vector([0, 1, 0])),
+    (Vector([1, 0, 0]), Vector([0, 1, 0])),
+    (Vector([Fraction(1, 2), 0, 0]), Vector([0, 1])),
+    (Vector([Fraction(1, 2), 0, 0]), Vector([0, 1, 0])),
+])
+def test_comparison_dimension_mismatch(h1, h2):
+    oracle = HiddenPointOracle(Vector([1, 2]))
+    with pytest.raises(ValueError):
+        oracle.comparison_query(h1, h2)
+    assert oracle.ledger.snapshot() == (0, 0)

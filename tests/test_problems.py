@@ -65,6 +65,14 @@ def test_subset_sum_cap():
         encode_subset_sum([Fraction(1)] * 17)
 
 
+def test_ksum_cap():
+    # C(75, 3) = 67525 subsets: refused before any is built
+    with pytest.raises(SizeCapError):
+        encode_ksum(list(range(75)), 3)
+    # 3-SUM n=64 (41664 hyperplanes) stays admitted
+    assert len(encode_ksum(list(range(64)), 3).family) == 41664
+
+
 def test_sumset_ordering_frozen():
     a = [Fraction(0), Fraction(1)]
     b = [Fraction(0), Fraction(2)]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +122,38 @@ def test_strict_mode_round_trip():
     report = solve(enc.family, oracle, SolveConfig(seed=2, strict_comparison_mode=True))
     truth = ground_truth_pattern(enc.family, enc.hidden)
     assert all(report.pattern[i] is truth[i] for i in range(len(enc.family)))
+
+
+_CONTRADICTORY_SOLVE = """
+from ldt.geometry import Vector, sign_of
+from ldt.inference import InconsistentSampleError
+from ldt.oracle import HiddenPointOracle
+from ldt.solver import solve
+
+
+class LabelOnlyOracle(HiddenPointOracle):
+    # orders members by their labels alone, so every same-label pair
+    # reads as tied, whatever their values
+    def comparison_query(self, h1, h2, idents=None):
+        super().comparison_query(h1, h2, idents)
+        return sign_of(int(self.label_query(h1)) - int(self.label_query(h2)))
+
+
+family = [Vector([a, b]) for a in range(-3, 4) for b in range(-3, 4) if a or b]
+try:
+    solve(family, LabelOnlyOracle(Vector([5, -2])))
+except InconsistentSampleError:
+    print("typed error")
+"""
+
+
+def test_contradictory_oracle_raises_under_optimize():
+    # python -O strips assert statements; the consistency checks must stay
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CONTRADICTORY_SOLVE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "typed error"
