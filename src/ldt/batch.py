@@ -18,11 +18,10 @@ at once, cheapest proof first:
 
 Floating point only ever proposes.  Every accepted sign carries an
 exact certificate, so a wrong answer is impossible; the only cost of a
-missed proof is a hyperplane left undetermined.  The exact algebra, the
-integer kernel basis of the equalities and the support solves that
-verify least-squares proposals, is fraction-free integer elimination
-from intlin; only the last-resort cone-membership solve runs lp's
-rational simplex.
+missed proof is a hyperplane left undetermined.  All exact algebra is
+fraction-free integer arithmetic from intlin: the kernel basis of the
+equalities, the support solves that verify least-squares proposals,
+and the last-resort cone-membership simplex.
 """
 
 from __future__ import annotations
@@ -42,8 +41,13 @@ from .inference import (
     InferenceOutcome,
     infer_sign,
 )
-from .intlin import kernel_basis, nonnegative_solution
-from .lp import cone_member
+from .intlin import (
+    GEMM_GUARD,
+    cone_member,
+    generator_matrix,
+    kernel_basis,
+    nonnegative_solution,
+)
 from .prng import SplitMix64
 
 _POOL_TARGET = 64
@@ -54,7 +58,6 @@ _UNIT_CAP = 12
 _EXACT_LP_DIM = 16
 _SUPPORT_CACHE = 10
 _COORD_CAP = 1 << 40
-_GEMM_GUARD = 1 << 62
 
 
 def _split_blocks(sample) -> tuple[list[list[int]], list[Sign]]:
@@ -94,13 +97,13 @@ class _ChainCell:
     below_raw: list[tuple[int, ...]] = field(default_factory=list)
     lp_budget: int | None = None
     support_cache: list[list[int]] = field(default_factory=list)
-    _chain_vecs: list[Vector] | None = None
+    _gen_mat: np.ndarray | None = None
     _nnls_mat: np.ndarray | None = None
 
-    def chain_vecs(self) -> list[Vector]:
-        if self._chain_vecs is None:
-            self._chain_vecs = [Vector(row) for row in self.chain]
-        return self._chain_vecs
+    def gen_mat(self) -> np.ndarray:
+        if self._gen_mat is None:
+            self._gen_mat = generator_matrix(self.chain, self.n_red)
+        return self._gen_mat
 
     def nnls_mat(self) -> np.ndarray:
         if self._nnls_mat is None:
@@ -153,7 +156,7 @@ def _chain_cell(sample, dim: int) -> _ChainCell | None:
     if not all(any(row) for row in chain):
         raise InconsistentSampleError("a strict gap lies in the span of the equalities")
     cc = _ChainCell(dim, n_red, kb, reps, z, chain)
-    # certification tiers: tiny cells run the dense rational simplex
+    # certification tiers: tiny cells run the exact cone simplex
     # freely, mid-size cells get a bounded number of calls, and beyond
     # _EXACT_LP_DIM per-target certification is skipped outright since
     # a missed inference only costs one direct label query
@@ -277,7 +280,7 @@ def _build_pool(cc: _ChainCell) -> np.ndarray:
             return
         yi = yi.astype(np.int64)
         top = int(np.abs(yi).max(initial=0))
-        if top == 0 or top * cmax * nr >= _GEMM_GUARD:
+        if top == 0 or top * cmax * nr >= GEMM_GUARD:
             return
         if not (C @ yi > 0).all():
             return
@@ -322,7 +325,7 @@ def _build_pool(cc: _ChainCell) -> np.ndarray:
         return np.zeros((nr, 0), dtype=np.int64)
 
     seed = cols[0]
-    if int(np.abs(seed).max(initial=0)) * 4096 * cmax * nr < _GEMM_GUARD:
+    if int(np.abs(seed).max(initial=0)) * 4096 * cmax * nr < GEMM_GUARD:
         boosted = seed * 4096
         for c in range(nr):
             if len(cols) >= _POOL_TARGET:
@@ -455,7 +458,7 @@ def _exact_membership(cc: _ChainCell, target: list[int]) -> bool | None:
         if cc.lp_budget <= 0:
             return None
         cc.lp_budget -= 1
-    return cone_member(cc.chain_vecs(), Vector(target)) is not None
+    return cone_member(cc.gen_mat(), target) is not None
 
 
 def _fast_uniform_certs(
@@ -587,7 +590,7 @@ def infer_set_batch(
         KB = np.array(cc.kb, dtype=np.int64).T
         hmax = int(np.abs(Hfull).max(initial=0))
         kmax = int(np.abs(KB).max(initial=0))
-        if hmax * kmax * n < _GEMM_GUARD:
+        if hmax * kmax * n < GEMM_GUARD:
             Hred = Hfull @ KB
         else:
             Hred = np.array(Hfull, dtype=object) @ np.array(KB, dtype=object)
@@ -605,7 +608,7 @@ def infer_set_batch(
     if Y is not None and Y.shape[1]:
         hmax = int(abs(Hred).max()) if Hred.dtype == object else int(np.abs(Hred).max(initial=0))
         ymax = int(np.abs(Y).max(initial=0)) if Y.size else 0
-        if Hred.dtype == object or (ymax and hmax * ymax * nr >= _GEMM_GUARD):
+        if Hred.dtype == object or (ymax and hmax * ymax * nr >= GEMM_GUARD):
             D = np.array(Hred, dtype=object) @ np.array(Y, dtype=object)
             pos = np.array([[int(x) > 0 for x in row] for row in D], dtype=bool)
             neg = np.array([[int(x) < 0 for x in row] for row in D], dtype=bool)

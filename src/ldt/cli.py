@@ -115,7 +115,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     config = SolveConfig(
         seed=args.seed,
         sample_constant=parse_rational(args.sample_constant),
-        strict_comparison_mode=args.strict_comparison,
     )
     start = time.perf_counter()
     if enc.family:

@@ -15,12 +15,17 @@ full quadratic one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Sequence
 
 from .geometry import Sign, Vector, sign_of
 from .intlin import in_span, row_basis
-from .lp import HomogeneousSystem, cone_member, feasible, interior_witness
+from .lp import (
+    HomogeneousSystem,
+    cone_member,
+    feasible,
+    integer_multiple,
+    interior_witness,
+)
 from .oracle import HiddenPointOracle
 
 
@@ -105,13 +110,24 @@ def build_sorted_sample(
 
 @dataclass
 class CellDescription:
-    """Constraint view of the cell pinned down by a sorted sample."""
+    """Constraint view of the cell pinned down by a sorted sample.
+
+    The constraint system is built from the sample on first access; the
+    batched engine reads the sample alone and never pays for it.
+    """
 
     dim: int
-    constraints: HomogeneousSystem
-    sample: SortedSample | None = None
+    sample: SortedSample
+    _constraints: HomogeneousSystem | None = field(default=None, repr=False)
     _witness: Vector | None = field(default=None, repr=False)
     _witness_done: bool = field(default=False, repr=False)
+
+    @property
+    def constraints(self) -> HomogeneousSystem:
+        """One row per member label, one row per consecutive gap."""
+        if self._constraints is None:
+            self._constraints = _sample_system(self.sample, self.dim)
+        return self._constraints
 
     def witness(self) -> Vector | None:
         """Interior point of the cell, computed once and cached."""
@@ -123,6 +139,10 @@ class CellDescription:
 
 def cell_from_sample(sample: SortedSample, dim: int) -> CellDescription:
     """Reduced cell: one row per label, one row per consecutive gap."""
+    return CellDescription(dim, sample)
+
+
+def _sample_system(sample: SortedSample, dim: int) -> HomogeneousSystem:
     strict: list[Vector] = []
     equalities: list[Vector] = []
     for (_, v), lab in zip(sample.members, sample.labels):
@@ -140,10 +160,7 @@ def cell_from_sample(sample: SortedSample, dim: int) -> CellDescription:
             strict.append(diff)
         else:
             equalities.append(diff)
-    system = HomogeneousSystem(
-        dim, strict=tuple(strict), equalities=tuple(equalities)
-    )
-    return CellDescription(dim, system, sample)
+    return HomogeneousSystem(dim, strict=tuple(strict), equalities=tuple(equalities))
 
 
 def infer_sign(cell: CellDescription, h: Vector) -> Sign | None:
@@ -207,14 +224,6 @@ def infer_set(
     return InferenceOutcome(inferred, undetermined)
 
 
-def _int_row(v: Vector) -> list[int]:
-    """A positive integer multiple of v; span membership ignores scale."""
-    if v.ints is not None:
-        return list(v.ints)
-    den = lcm(*(c.denominator for c in v.coords))
-    return [int(c * den) for c in v.coords]
-
-
 def structural_infer(sample: SortedSample, h: Vector) -> Sign | None:
     """Certificate-only inference; sound but deliberately incomplete.
 
@@ -232,8 +241,9 @@ def structural_infer(sample: SortedSample, h: Vector) -> Sign | None:
     if h.is_zero():
         return Sign.ZERO
     if zero_members:
-        basis = row_basis(_int_row(v) for v in zero_members)
-        if in_span(basis, _int_row(h)):
+        # span membership ignores scale
+        basis = row_basis(integer_multiple(v)[0] for v in zero_members)
+        if in_span(basis, integer_multiple(h)[0]):
             return Sign.ZERO
 
     def ascending(label: Sign) -> list[Vector]:

@@ -7,19 +7,21 @@ box -1 <= x_j <= 1; the system is feasible exactly when the optimum is
 positive.  All pivoting is exact rational simplex with Bland's rule, so
 termination and soundness are unconditional.
 
-The module also provides cone membership (is a target a nonnegative
-combination of given generators), implemented as a revised phase-1
-simplex.  Inference uses it heavily, so its inner loop works on sparse
-integer columns where possible.
+The module also answers cone membership (is a target a nonnegative
+combination of given generators) for rational vectors: it scales them
+to integers and runs intlin's fraction-free revised simplex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .geometry import Rational, Vector
+from .geometry import Vector
+from .intlin import cone_member as int_cone_member
+from .intlin import generator_matrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -235,107 +237,42 @@ class ConeSolver:
 
     member(target) answers whether target is a nonnegative rational
     combination of the generators, returning one such combination as a
-    {generator index: coefficient} dict, or None.  Phase-1 revised
-    simplex with Bland's rule; exact throughout.
+    {generator index: coefficient} dict, or None.  Each rational vector
+    is scaled to integers by its own positive denominator, which leaves
+    the cone and the simplex's pivots unchanged; intlin.cone_member
+    decides, and the coefficients are mapped back.
     """
 
     def __init__(self, generators: Sequence[Vector], dim: int) -> None:
         self.dim = dim
-        self.cols: list[list[tuple[int, Fraction]]] = []
+        rows: list[list[int]] = []
+        self.scales: list[int] = []
         for g in generators:
             if g.dim != dim:
                 raise ValueError("generator dimension mismatch")
-            self.cols.append([(i, c) for i, c in enumerate(g.coords) if c])
+            row, scale = integer_multiple(g)
+            rows.append(row)
+            self.scales.append(scale)
+        self.gens = generator_matrix(rows, dim)
 
     def member(self, target: Vector) -> dict[int, Fraction] | None:
-        n = self.dim
-        m = len(self.cols)
-        b = [Fraction(c) for c in target.coords]
-        sgn = [1 if x >= 0 else -1 for x in b]
-        # artificial column i is sgn[i] * e_i, so the all-artificial basis
-        # carries xB = |b| >= 0 and its inverse is diag(sgn) itself
-        binv: list[list[Fraction]] = [
-            [Fraction(sgn[i]) if i == j else _ZERO for j in range(n)]
-            for i in range(n)
-        ]
-        xb = [abs(x) for x in b]
-        basis = [m + i for i in range(n)]  # ids: 0..m-1 generators, m.. artificials
+        b, scale = integer_multiple(target)
+        found = int_cone_member(self.gens, b)
+        if found is None:
+            return None
+        num, den = found
+        # scale * target = sum num[j] / den * scales[j] * generators[j]
+        return {
+            j: Fraction(c * self.scales[j], den * scale) for j, c in num.items()
+        }
 
-        def column(ident: int) -> list[tuple[int, Fraction]]:
-            if ident < m:
-                return self.cols[ident]
-            i = ident - m
-            return [(i, Fraction(sgn[i]))]
 
-        while True:
-            art_rows = [k for k, bi in enumerate(basis) if bi >= m]
-            if not any(xb[k] for k in art_rows):
-                break  # artificial mass zero: membership certified
-            y = [_ZERO] * n
-            for k in art_rows:
-                row = binv[k]
-                for i in range(n):
-                    if row[i]:
-                        y[i] += row[i]
-            enter = -1
-            for j in range(m):
-                if j in basis:
-                    continue
-                acc = _ZERO
-                for i, c in self.cols[j]:
-                    if y[i]:
-                        acc += y[i] * c
-                if acc > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                for j in range(m, m + n):
-                    if j in basis:
-                        continue
-                    i = j - m
-                    if _ONE - y[i] * sgn[i] < 0:
-                        enter = j
-                        break
-            if enter < 0:
-                return None  # optimum positive: target outside the cone
-            col = column(enter)
-            d = [_ZERO] * n
-            for i, c in col:
-                for k in range(n):
-                    if binv[k][i]:
-                        d[k] += binv[k][i] * c
-            leave = -1
-            best: Fraction | None = None
-            for k in range(n):
-                if d[k] > 0:
-                    ratio = xb[k] / d[k]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[k] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = k
-            if leave < 0:
-                raise ArithmeticError("phase-1 objective unbounded")
-            inv = _ONE / d[leave]
-            brow = [v * inv for v in binv[leave]]
-            bx = xb[leave] * inv
-            for k in range(n):
-                if k == leave:
-                    continue
-                f = d[k]
-                if f:
-                    row = binv[k]
-                    binv[k] = [a - f * bb for a, bb in zip(row, brow)]
-                    xb[k] -= f * bx
-            binv[leave] = brow
-            xb[leave] = bx
-            basis[leave] = enter
-
-        coeffs: dict[int, Fraction] = {}
-        for k, bi in enumerate(basis):
-            if bi < m and xb[k]:
-                coeffs[bi] = coeffs.get(bi, _ZERO) + xb[k]
-        return coeffs
+def integer_multiple(v: Vector) -> tuple[list[int], int]:
+    """Integer coordinates of s * v, and the smallest such s > 0."""
+    if v.ints is not None:
+        return list(v.ints), 1
+    s = lcm(*(c.denominator for c in v.coords))
+    return [int(c * s) for c in v.coords], s
 
 
 def cone_member(

@@ -30,7 +30,6 @@ from .prng import SplitMix64
 class SolveConfig:
     seed: int = 0
     sample_constant: Fraction = Fraction(2)
-    strict_comparison_mode: bool = False
     max_rounds: int = 64
 
 

@@ -15,9 +15,14 @@ from ldt.inference import (
     infer_set,
     infer_sign,
 )
+from ldt import batch
 from ldt.batch import infer_set_batch
 from ldt.oracle import HiddenPointOracle
+from ldt.problems import encode_ksum, random_ksum_instance
 from ldt.prng import SplitMix64
+from ldt.solver import SolveConfig, solve
+
+from test_intlin import cone_member_reference
 
 
 def _random_cell(rng, dim, n_members, width=2):
@@ -154,3 +159,30 @@ def test_misuse_raises_value_error():
     cell.sample = None
     with pytest.raises(ValueError, match="sorted sample"):
         infer_set_batch(cell, [(1, Vector([0, 1]))])
+
+
+def test_exact_membership_on_solved_ksum_cell(monkeypatch):
+    # this planted 3-SUM n=16 solve reduces a sample cell to 2 dimensions
+    # over a long chain, and its stragglers reach the cone simplex
+    calls = []
+    shapes = []
+    exact = batch._exact_membership
+    cone = batch.cone_member
+
+    def recording_exact(cc, target):
+        verdict = exact(cc, target)
+        calls.append((list(cc.chain), list(target), verdict))
+        return verdict
+
+    def recording_cone(gens, target):
+        shapes.append(gens.shape)
+        return cone(gens, target)
+
+    monkeypatch.setattr(batch, "_exact_membership", recording_exact)
+    monkeypatch.setattr(batch, "cone_member", recording_cone)
+    enc = encode_ksum(random_ksum_instance(SplitMix64(4), 16, 3, planted=True), 3)
+    solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=4))
+    assert any(dim == 2 and m > 100 for m, dim in shapes)
+    for chain, target, verdict in calls:
+        if verdict is not None:
+            assert verdict is (cone_member_reference(chain, target) is not None)

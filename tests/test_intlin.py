@@ -1,16 +1,26 @@
 """The integer eliminations must reproduce the Fraction ones exactly.
 
 The Fraction versions below are the reference: a row-reduced echelon
-form over the rationals, and a Bareiss forward pass followed by a
-rational back-substitution.  Inputs mix zero, duplicate and dependent
-rows, negative entries, and entries of 2^62 or more.
+form over the rationals, a Bareiss forward pass followed by a rational
+back-substitution, and a phase-1 revised simplex over the rationals
+for cone membership.  Inputs mix zero, duplicate and dependent rows,
+negative entries, and entries of 2^62 or more.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ldt.intlin import in_span, kernel_basis, nonnegative_solution, row_basis
+from ldt.geometry import Vector
+from ldt.intlin import (
+    cone_member,
+    generator_matrix,
+    in_span,
+    kernel_basis,
+    nonnegative_solution,
+    row_basis,
+)
+from ldt.lp import cone_member as lp_cone_member
 
 
 def _rref_reference(rows, n):
@@ -172,3 +182,177 @@ def test_support_solve_matches_fraction_back_substitution(case, data):
         target = data.draw(st.lists(entries, min_size=dim, max_size=dim))
     expected = support_solve_reference(cols, target, dim)
     assert nonnegative_solution(cols, target, dim) is expected
+
+
+def cone_member_reference(generators, target):
+    """Phase-1 revised simplex with Bland's rule over Fractions.
+
+    Returns {generator index: coefficient} with target equal to the
+    nonnegative combination, or None when target is outside the cone.
+    """
+    n = len(target)
+    m = len(generators)
+    cols = [[(i, Fraction(c)) for i, c in enumerate(g) if c] for g in generators]
+    b = [Fraction(c) for c in target]
+    sgn = [1 if x >= 0 else -1 for x in b]
+    binv = [[Fraction(sgn[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    xb = [abs(x) for x in b]
+    basis = [m + i for i in range(n)]
+
+    def column(ident):
+        if ident < m:
+            return cols[ident]
+        return [(ident - m, Fraction(sgn[ident - m]))]
+
+    while True:
+        art_rows = [k for k, bi in enumerate(basis) if bi >= m]
+        if not any(xb[k] for k in art_rows):
+            break
+        y = [Fraction(0)] * n
+        for k in art_rows:
+            for i in range(n):
+                y[i] += binv[k][i]
+        enter = -1
+        for j in range(m):
+            if j not in basis and sum(y[i] * c for i, c in cols[j]) > 0:
+                enter = j
+                break
+        if enter < 0:
+            for j in range(m, m + n):
+                if j not in basis and 1 - y[j - m] * sgn[j - m] < 0:
+                    enter = j
+                    break
+        if enter < 0:
+            return None
+        d = [Fraction(0)] * n
+        for i, c in column(enter):
+            for k in range(n):
+                d[k] += binv[k][i] * c
+        leave = -1
+        best = None
+        for k in range(n):
+            if d[k] > 0:
+                ratio = xb[k] / d[k]
+                if best is None or ratio < best or (
+                    ratio == best and basis[k] < basis[leave]
+                ):
+                    best = ratio
+                    leave = k
+        assert leave >= 0, "phase-1 objective unbounded"
+        inv = 1 / d[leave]
+        brow = [v * inv for v in binv[leave]]
+        bx = xb[leave] * inv
+        for k in range(n):
+            if k != leave and d[k]:
+                binv[k] = [a - d[k] * bb for a, bb in zip(binv[k], brow)]
+                xb[k] -= d[k] * bx
+        binv[leave] = brow
+        xb[leave] = bx
+        basis[leave] = enter
+    return {bi: xb[k] for k, bi in enumerate(basis) if bi < m and xb[k]}
+
+
+def _int_cone(gens, target):
+    """intlin.cone_member with its coefficients as Fractions."""
+    found = cone_member(generator_matrix(gens, len(target)), target)
+    if found is None:
+        return None
+    num, den = found
+    assert den > 0
+    return {j: Fraction(c, den) for j, c in num.items()}
+
+
+def _check_combination(coeffs, gens, target):
+    assert all(c > 0 for c in coeffs.values())
+    for i in range(len(target)):
+        assert sum(c * gens[j][i] for j, c in coeffs.items()) == target[i]
+
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def cones(draw, entries=small):
+    """Generators over n columns, with zero, repeated and negated rows,
+    and a target that is often a nonnegative combination of them, on a
+    boundary ray, or zero."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=9))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat", "negate"]))
+        if kind == "zero" or (kind in ("repeat", "negate") and not gens):
+            gens.append([0] * n)
+        elif kind == "repeat":
+            gens.append(list(draw(st.sampled_from(gens))))
+        elif kind == "negate":
+            gens.append([-a for a in draw(st.sampled_from(gens))])
+        else:
+            gens.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["combination", "ray", "zero", "random"]))
+    if kind == "combination" and gens:
+        weights = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=len(gens), max_size=len(gens)))
+        target = [sum(w * g[i] for w, g in zip(weights, gens)) for i in range(n)]
+    elif kind == "ray" and gens:
+        g = draw(st.sampled_from(gens))
+        target = [draw(st.integers(min_value=1, max_value=4)) * a for a in g]
+    elif kind == "zero":
+        target = [0] * n
+    else:
+        target = draw(st.lists(entries, min_size=n, max_size=n))
+    return gens, target
+
+
+@settings(max_examples=400, deadline=None)
+@given(cones())
+# degenerate: the zero coordinates of the target tie the first ratio
+# tests, so the coefficients depend on the tie-break
+@example(([[2, 1, 0], [-2, 2, 1], [-2, 1, 2], [2, -2, 1]], [0, 0, 1]))
+def test_cone_member_matches_fraction_simplex(case):
+    gens, target = case
+    expected = cone_member_reference(gens, target)
+    got = _int_cone(gens, target)
+    assert got == expected
+    if got is not None:
+        _check_combination(got, gens, target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones(entries=entries))
+def test_cone_member_matches_fraction_simplex_on_huge_entries(case):
+    # entries of 2^62 or more force Python-integer pricing
+    gens, target = case
+    assert (generator_matrix(gens, len(target)).dtype == object) is any(
+        abs(a) >= HUGE for g in gens for a in g
+    )
+    got = _int_cone(gens, target)
+    assert got == cone_member_reference(gens, target)
+    if got is not None:
+        _check_combination(got, gens, target)
+
+
+def test_cone_member_empty_generators_and_zero_target():
+    assert _int_cone([], [0, 0]) == {}
+    assert _int_cone([], [1, 0]) is None
+    assert _int_cone([[0, 0]], [0, 1]) is None
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lp_cone_member_scales_rational_vectors(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    gens = data.draw(st.lists(st.lists(fractions, min_size=n, max_size=n), max_size=6))
+    if gens and data.draw(st.booleans()):
+        weights = data.draw(st.lists(fractions.map(abs), min_size=len(gens), max_size=len(gens)))
+        target = [sum(w * g[i] for w, g in zip(weights, gens)) for i in range(n)]
+    else:
+        target = data.draw(st.lists(fractions, min_size=n, max_size=n))
+    got = lp_cone_member([Vector(g) for g in gens], Vector(target))
+    if any(target) and gens:
+        assert got == cone_member_reference(gens, target)
+    else:
+        assert got == ({} if not any(target) else None)
+    if got is not None:
+        _check_combination(got, gens, target)

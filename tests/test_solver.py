@@ -119,7 +119,7 @@ def test_sample_constant_shrinks_sample():
 def test_strict_mode_round_trip():
     enc = encode_ksum([Fraction(v) for v in range(1, 17)], 3)
     oracle = HiddenPointOracle(enc.hidden, strict_family=enc.family)
-    report = solve(enc.family, oracle, SolveConfig(seed=2, strict_comparison_mode=True))
+    report = solve(enc.family, oracle, SolveConfig(seed=2))
     truth = ground_truth_pattern(enc.family, enc.hidden)
     assert all(report.pattern[i] is truth[i] for i in range(len(enc.family)))
 
