@@ -13,15 +13,17 @@ at once, cheapest proof first:
     zero value at an interior point, rule inference out);
   * certify by dominance: harvested coordinate comparisons and sampled
     anchors combine into explicit conic decompositions;
-  * finish stragglers with least-squares proposals verified exactly,
-    then an exact cone-membership solve, capped in high dimension.
+  * finish stragglers by shared support: a least-squares proposal from
+    the first unproved row is verified exactly against every open row
+    in one batched integer solve, and only rows no support proves run
+    the exact cone-membership solve, capped in high dimension.
 
 Floating point only ever proposes.  Every accepted sign carries an
 exact certificate, so a wrong answer is impossible; the only cost of a
 missed proof is a hyperplane left undetermined.  All exact algebra is
 fraction-free integer arithmetic from intlin: the kernel basis of the
-equalities, the support solves that verify least-squares proposals,
-and the last-resort cone-membership simplex.
+equalities, the batched support solves that verify least-squares
+proposals, and the last-resort cone-membership simplex.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .intlin import (
     cone_member,
     generator_matrix,
     kernel_basis,
-    nonnegative_solution,
+    nonnegative_solutions,
 )
 from .prng import SplitMix64
 
@@ -56,7 +58,6 @@ _PAIR_ANCHORS = 8
 _FAST_ANCHORS = 40
 _UNIT_CAP = 12
 _EXACT_LP_DIM = 16
-_SUPPORT_CACHE = 10
 _COORD_CAP = 1 << 40
 
 
@@ -96,7 +97,6 @@ class _ChainCell:
     above_raw: list[tuple[int, ...]] = field(default_factory=list)
     below_raw: list[tuple[int, ...]] = field(default_factory=list)
     lp_budget: int | None = None
-    support_cache: list[list[int]] = field(default_factory=list)
     _gen_mat: np.ndarray | None = None
     _nnls_mat: np.ndarray | None = None
 
@@ -430,35 +430,56 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         return np.zeros(A.shape[1]), float(np.linalg.norm(b))
 
 
-def _exact_membership(cc: _ChainCell, target: list[int]) -> bool | None:
-    """Is target in the chain cone?  None when the exact budget is spent."""
-    nr = cc.n_red
-    if nr > _EXACT_LP_DIM:
+def _nnls_support(cc: _ChainCell, target: np.ndarray) -> list[int] | None:
+    """Chain rows a least-squares fit puts weight on, if the fit is exact
+    enough and uses at most n_red of them."""
+    b = target.astype(np.float64)
+    x, resid = _nnls(cc.nnls_mat(), b)
+    if resid > 1e-7 * max(1.0, float(np.abs(b).max())):
         return None
-    if cc.chain:
-        # supports repeat heavily across one round; replay recent hits
-        for pos, support in enumerate(cc.support_cache):
-            if nonnegative_solution([cc.chain[j] for j in support], target, nr):
-                if pos:
-                    cc.support_cache.insert(0, cc.support_cache.pop(pos))
-                return True
-        A = cc.nnls_mat()
-        b = np.array(target, dtype=np.float64)
-        x, resid = _nnls(A, b)
-        norm = max(1.0, float(np.abs(b).max()))
-        if resid <= 1e-7 * norm:
-            support = [int(j) for j in np.where(x > 1e-12)[0]]
-            if len(support) <= nr and nonnegative_solution(
-                [cc.chain[j] for j in support], target, nr
-            ):
-                cc.support_cache.insert(0, support)
-                del cc.support_cache[_SUPPORT_CACHE:]
-                return True
-    if cc.lp_budget is not None:
-        if cc.lp_budget <= 0:
-            return None
-        cc.lp_budget -= 1
-    return cone_member(cc.gen_mat(), target) is not None
+    support = [int(j) for j in np.flatnonzero(x > 1e-12)]
+    return support if len(support) <= cc.n_red else None
+
+
+def _exact_memberships(cc: _ChainCell, targets: np.ndarray) -> list[bool | None]:
+    """Is each row of targets in the chain cone?  None when the exact
+    budget is spent.
+
+    Supports repeat heavily across one round, so the loop runs over
+    supports, not rows: the first row no support has proved yet
+    proposes one by least squares, and once it proves that row it is
+    checked against every row still open in one batched solve.  Rows
+    whose own proposal fails go, in order, to the cone simplex, and
+    only they spend the budget.
+    """
+    verdicts: list[bool | None] = [None] * len(targets)
+    if cc.n_red > _EXACT_LP_DIM:
+        return verdicts
+    open_rows = np.ones(len(targets), dtype=bool)
+    queue: list[int] = []
+    for head in range(len(targets)):
+        if not open_rows[head]:
+            continue
+        support = _nnls_support(cc, targets[head]) if cc.chain else None
+        if support is not None:
+            rows = head + np.flatnonzero(open_rows[head:])
+            proved = nonnegative_solutions(
+                [cc.chain[j] for j in support], targets[rows]
+            )
+            if proved[0]:
+                for i in rows[proved]:
+                    verdicts[i] = True
+                open_rows[rows[proved]] = False
+                continue
+        open_rows[head] = False
+        queue.append(head)
+    for i in queue:
+        if cc.lp_budget is not None:
+            if cc.lp_budget <= 0:
+                break
+            cc.lp_budget -= 1
+        verdicts[i] = cone_member(cc.gen_mat(), targets[i].tolist()) is not None
+    return verdicts
 
 
 def _fast_uniform_certs(
@@ -549,8 +570,6 @@ def infer_set_batch(
 ) -> InferenceOutcome:
     """Decide every member of remaining against the sample cell."""
     sample = cell.sample
-    if sample is None:
-        raise ValueError("the batched engine needs a cell built from a sorted sample")
     n = cell.dim
     inferred: dict[int, Sign] = {}
     label_of = {ident: lab for (ident, _), lab in zip(sample.members, sample.labels)}
@@ -639,13 +658,14 @@ def infer_set_batch(
 
             _fast_uniform_certs(cc, Hred, cand_plus, cand_minus, settled, signs)
 
-        leftovers = np.where(~settled & (cand_plus | cand_minus))[0]
-        for i in leftovers:
-            row = [int(x) for x in Hred[i]]
-            target = row if cand_plus[i] else [-x for x in row]
-            verdict = _exact_membership(cc, target)
+        leftovers = np.flatnonzero(~settled & (cand_plus | cand_minus))
+        flips = np.where(cand_plus[leftovers], 1, -1)
+        targets = Hred[leftovers] * flips[:, None]
+        for i, flip, verdict in zip(
+            leftovers, flips, _exact_memberships(cc, targets)
+        ):
             if verdict is True:
-                signs[i] = 1 if cand_plus[i] else -1
+                signs[i] = flip
                 settled[i] = True
             elif verdict is False:
                 # proven outside the cone: not inferable either way,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -52,19 +51,6 @@ from .solver import SolveConfig, solve
 SCHEMA = 1
 
 
-def _threads() -> int:
-    """Workers requested via LDT_THREADS; execution is sequential for
-    now, the knob is parsed and echoed so reports stay comparable."""
-    raw = os.environ.get("LDT_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError:
-        raise InstanceFormatError(f"LDT_THREADS must be an integer, got {raw!r}")
-    if t < 1:
-        raise InstanceFormatError("LDT_THREADS must be at least 1")
-    return t
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -104,7 +90,6 @@ def _serialize_answer(answer):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    threads = _threads()
     enc = _encode_from_args(args)
     strict = enc.family if args.strict_comparison else None
     oracle = HiddenPointOracle(
@@ -139,7 +124,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "sample_constant": args.sample_constant,
                 "strict_comparison": args.strict_comparison,
-                "threads": threads,
             },
             "family_size": 0,
             "dim": enc.dim,
@@ -160,7 +144,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "sample_constant": args.sample_constant,
                 "strict_comparison": args.strict_comparison,
-                "threads": threads,
             },
             "family_size": report.family_size,
             "dim": report.dim,
@@ -213,7 +196,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    _threads()
     sizes = []
     for tok in args.sizes.split(","):
         tok = tok.strip()
@@ -280,7 +262,6 @@ def _emit(record: dict) -> bool:
 
 
 def _cmd_lab_cells(args: argparse.Namespace) -> int:
-    _threads()
     rng = SplitMix64(args.seed)
     family = _random_family(rng, args.dim, args.count, args.w)
     m = len(family)
@@ -325,7 +306,6 @@ def _cmd_lab_cells(args: argparse.Namespace) -> int:
 
 
 def _cmd_lab_infdim(args: argparse.Namespace) -> int:
-    _threads()
     rng = SplitMix64(args.seed)
     family = _random_family(rng, args.dim, args.count, args.w)
     ok = inference_dimension_exact(family, args.d)
@@ -347,7 +327,6 @@ def _cmd_lab_infdim(args: argparse.Namespace) -> int:
 
 
 def _cmd_lab_collision(args: argparse.Namespace) -> int:
-    _threads()
     rng = SplitMix64(args.seed)
     full = _random_family(rng, args.n, (2 * args.w + 1) ** args.n - 1, args.w)
     if args.m > len(full):
@@ -381,7 +360,6 @@ def _cmd_lab_collision(args: argparse.Namespace) -> int:
 
 
 def _cmd_lab_crosscheck(args: argparse.Namespace) -> int:
-    _threads()
     agree_f, total_f = crosscheck_feasibility(args.trials, args.seed)
     ok_f = agree_f == total_f
     all_pass = _emit(

@@ -204,24 +204,13 @@ def infer_set(
 ) -> InferenceOutcome:
     """Decide every member of remaining against the cell.
 
-    Sample members always come back with their queried labels.  With
-    chain structure available (a cell built from a sorted sample) the
-    batched engine does the work; otherwise each member runs through
-    infer_sign directly.
+    Sample members always come back with their queried labels; the
+    batched engine, which works on the chain structure of the sorted
+    sample, decides the rest.
     """
-    if cell.sample is not None:
-        from .batch import infer_set_batch
+    from .batch import infer_set_batch
 
-        return infer_set_batch(cell, remaining)
-    inferred: dict[int, Sign] = {}
-    undetermined: list[int] = []
-    for ident, v in remaining:
-        s = infer_sign(cell, v)
-        if s is None:
-            undetermined.append(ident)
-        else:
-            inferred[ident] = s
-    return InferenceOutcome(inferred, undetermined)
+    return infer_set_batch(cell, remaining)
 
 
 def structural_infer(sample: SortedSample, h: Vector) -> Sign | None:

@@ -1,11 +1,12 @@
 """Fraction-free exact linear algebra over the integers.
 
 The solver side needs four exact computations: a kernel basis for the
-equalities of a sample cell, a span membership test, a particular
-solution of a small system whose sign decides a conic certificate,
-and cone membership (is a target a nonnegative combination of given
-generators).  All four run here on Python integers.  Rows are kept
-primitive (gcd content divided out) and combined by
+equalities of a sample cell, a span membership test, the particular
+solutions of one small system for a whole batch of targets (their
+signs decide conic certificates), and cone membership (is a target a
+nonnegative combination of given generators).  All four run here on
+Python integers, the batched ones as integer matrix products.  Rows are
+kept primitive (gcd content divided out) and combined by
 cross-multiplication; every division is exact, so no rational number
 is ever formed, and a rational value appears only as an integer
 numerator over a known positive denominator.
@@ -103,70 +104,66 @@ def kernel_basis(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
     return cols
 
 
-def nonnegative_solution(
-    cols: Sequence[Sequence[int]], target: Sequence[int], dim: int
-) -> bool:
-    """Does target = sum c_j cols[j] hold with a nonnegative particular
-    solution?
+def nonnegative_solutions(
+    cols: Sequence[Sequence[int]], targets: np.ndarray
+) -> np.ndarray:
+    """Which rows t of targets satisfy t = sum c_j cols[j] with a
+    nonnegative particular solution (every free coefficient zero)?
 
-    Bareiss fraction-free elimination runs over the augmented system;
-    the particular solution sets every free coefficient to zero and is
-    back-substituted as integer numerators over one common positive
-    denominator.  A nonzero leftover past the rank means no solution.
-    The result is checked once more against the original columns.
+    Fraction-free Gauss-Jordan elimination runs over [A | I], with
+    A[i][j] = cols[j][i], taking pivot columns greedily in order as
+    Bareiss does.  Its first rank rows then hold det(B) B^-1 for the
+    pivot block B, signed so that the denominator D = |det B| is
+    positive.  The coefficient numerators of every target come from one
+    product with that inverse, and a target is accepted when they are
+    all >= 0 and the pivot columns times them reproduce D times the
+    target exactly.  targets comes from generator_matrix; both products
+    run in int64 while GEMM_GUARD bounds them and in Python integers
+    past it.
     """
     k = len(cols)
-    M = [[int(col[i]) for col in cols] + [int(target[i])] for i in range(dim)]
+    dim = targets.shape[1]
+    W = [[int(col[i]) for col in cols] + [int(i == j) for j in range(dim)]
+         for i in range(dim)]
     piv_cols: list[int] = []
     r = 0
     prev = 1
     for c in range(k):
-        sel = next((i for i in range(r, dim) if M[i][c]), None)
+        sel = next((i for i in range(r, dim) if W[i][c]), None)
         if sel is None:
             continue
-        if sel != r:
-            M[r], M[sel] = M[sel], M[r]
-        p = M[r][c]
-        pivot_row = M[r]
-        for i in range(r + 1, dim):
-            f = M[i][c]
-            M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], pivot_row)]
+        W[r], W[sel] = W[sel], W[r]
+        p = W[r][c]
+        pivot_row = W[r]
+        for i in range(dim):
+            if i != r:
+                f = W[i][c]
+                W[i] = [(p * a - f * b) // prev for a, b in zip(W[i], pivot_row)]
         prev = p
         piv_cols.append(c)
         r += 1
         if r == dim:
             break
-    # rows past the rank are structurally zero; a leftover augmented
-    # entry there means the system is inconsistent
-    for i in range(r, dim):
-        if M[i][k]:
-            return False
-    # coefficient j is num[j] / den
-    num = [0] * k
-    den = 1
-    for idx in range(r - 1, -1, -1):
-        c = piv_cols[idx]
-        row = M[idx]
-        s = row[k] * den
-        for c2 in range(c + 1, k):
-            if row[c2] and num[c2]:
-                s -= row[c2] * num[c2]
-        a = row[c]
-        g = gcd(s, a)
-        s, a = s // g, a // g
-        if a < 0:
-            s, a = -s, -a
-        if s < 0:
-            return False
-        if a != 1:
-            den *= a
-            num = [x * a for x in num]
-        num[c] = s
-    for i in range(dim):
-        total = sum(x * col[i] for x, col in zip(num, cols) if x)
-        if total != target[i] * den:
-            return False
-    return True
+    if not r:
+        return ~np.any(targets != 0, axis=1)
+    # every row was scaled alike, so prev = det B sits on the diagonal
+    sgn = 1 if prev > 0 else -1
+    den = sgn * prev
+    inv = [[sgn * a for a in row[k:]] for row in W[:r]]
+    gens = [[int(cols[c][i]) for c in piv_cols] for i in range(dim)]
+    top = int(abs(targets).max(initial=1))
+    num_top = max(abs(a) for row in inv for a in row) * top * dim
+    gen_top = max(abs(a) for row in gens for a in row)
+    wide = max(gen_top * num_top * r, den * top) >= GEMM_GUARD
+    dtype = object if wide or targets.dtype == object else np.int64
+    tgt = targets.astype(dtype)
+    num = np.array(inv, dtype=dtype) @ tgt.T
+    ok = (num >= 0).all(axis=0)
+    hit = np.flatnonzero(ok)
+    if hit.size:
+        back = np.array(gens, dtype=dtype) @ num[:, hit]
+        ok[hit] = (back == den * tgt[hit].T).all(axis=0)
+    return ok
 
 
 def generator_matrix(rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:

@@ -19,10 +19,11 @@ from ldt import batch
 from ldt.batch import infer_set_batch
 from ldt.oracle import HiddenPointOracle
 from ldt.problems import encode_ksum, random_ksum_instance
+from ldt.intlin import generator_matrix
 from ldt.prng import SplitMix64
 from ldt.solver import SolveConfig, solve
 
-from test_intlin import cone_member_reference
+from test_intlin import cone_member_reference, support_solve_reference
 
 
 def _random_cell(rng, dim, n_members, width=2):
@@ -156,33 +157,73 @@ def test_misuse_raises_value_error():
     cell = cell_from_sample(sample, 2)
     with pytest.raises(ValueError, match="names two different vectors"):
         infer_set_batch(cell, [(0, Vector([0, 1]))])
-    cell.sample = None
-    with pytest.raises(ValueError, match="sorted sample"):
-        infer_set_batch(cell, [(1, Vector([0, 1]))])
 
 
 def test_exact_membership_on_solved_ksum_cell(monkeypatch):
     # this planted 3-SUM n=16 solve reduces a sample cell to 2 dimensions
     # over a long chain, and its stragglers reach the cone simplex
-    calls = []
-    shapes = []
-    exact = batch._exact_membership
+    sweeps = []
+    cones = []
+    support_check = batch.nonnegative_solutions
     cone = batch.cone_member
 
-    def recording_exact(cc, target):
-        verdict = exact(cc, target)
-        calls.append((list(cc.chain), list(target), verdict))
-        return verdict
+    def recording_support(cols, targets):
+        proved = support_check(cols, targets)
+        sweeps.append((list(cols), targets.tolist(), proved.tolist()))
+        return proved
 
     def recording_cone(gens, target):
-        shapes.append(gens.shape)
-        return cone(gens, target)
+        found = cone(gens, target)
+        cones.append((gens.tolist(), list(target), found is not None))
+        return found
 
-    monkeypatch.setattr(batch, "_exact_membership", recording_exact)
+    monkeypatch.setattr(batch, "nonnegative_solutions", recording_support)
     monkeypatch.setattr(batch, "cone_member", recording_cone)
     enc = encode_ksum(random_ksum_instance(SplitMix64(4), 16, 3, planted=True), 3)
     solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=4))
-    assert any(dim == 2 and m > 100 for m, dim in shapes)
-    for chain, target, verdict in calls:
-        if verdict is not None:
-            assert verdict is (cone_member_reference(chain, target) is not None)
+    assert any(len(gens[0]) == 2 and len(gens) > 100 for gens, _, _ in cones)
+    assert any(len(targets) > 1 and any(proved[1:]) for _, targets, proved in sweeps)
+    for cols, targets, proved in sweeps:
+        dim = len(targets[0])
+        assert proved == [support_solve_reference(cols, t, dim) for t in targets]
+    for gens, target, member in cones:
+        assert member is (cone_member_reference(gens, target) is not None)
+
+
+def test_exact_memberships_spend_the_budget_only_on_unproved_rows(monkeypatch):
+    # nonnegative chain combinations share supports and never reach the
+    # cone simplex; the rest run it in row order until the budget is spent
+    rng = SplitMix64(8)
+    cone = batch.cone_member
+    for _ in range(30):
+        dim = 3 + rng.below(2)
+        cell, _, _ = _random_cell(rng, dim, 6)
+        cc = batch._chain_cell(cell.sample, dim)
+        nr = cc.n_red
+        targets = []
+        for _ in range(12):
+            if rng.below(2):
+                targets.append([rng.randint(-3, 3) for _ in range(nr)])
+            else:
+                picks = [(rng.randint(0, 2), row) for row in cc.chain]
+                targets.append([sum(w * row[i] for w, row in picks) for i in range(nr)])
+        calls = []
+
+        def recording_cone(gens, target):
+            calls.append(target)
+            return cone(gens, target)
+
+        monkeypatch.setattr(batch, "cone_member", recording_cone)
+        cc.lp_budget = 2
+        verdicts = batch._exact_memberships(cc, generator_matrix(targets, nr))
+        assert len(calls) <= 2
+        called = [i for i, t in enumerate(targets) if t in calls]
+        for i, (t, verdict) in enumerate(zip(targets, verdicts)):
+            member = cone_member_reference(cc.chain, t) is not None
+            if verdict is None:
+                # left over once the budget ran out, after every cone call
+                assert len(calls) == 2 and i > max(called)
+            else:
+                assert verdict is member
+            if t in calls:
+                assert verdict is member

@@ -159,14 +159,3 @@ def test_lab_crosscheck_record(capsys):
     assert len(records) == 2
     assert all(r["pass"] for r in records)
 
-
-def test_threads_env_parsed(ksum_file, capsys, monkeypatch):
-    monkeypatch.setenv("LDT_THREADS", "4")
-    assert main(["solve", "ksum", "--input", ksum_file, "--k", "3", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["parameters"]["threads"] == 4
-
-
-def test_threads_env_rejects_garbage(ksum_file, capsys, monkeypatch):
-    monkeypatch.setenv("LDT_THREADS", "lots")
-    assert main(["solve", "ksum", "--input", ksum_file, "--k", "3"]) == 2

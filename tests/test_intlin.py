@@ -17,7 +17,7 @@ from ldt.intlin import (
     generator_matrix,
     in_span,
     kernel_basis,
-    nonnegative_solution,
+    nonnegative_solutions,
     row_basis,
 )
 from ldt.lp import cone_member as lp_cone_member
@@ -171,17 +171,42 @@ def test_span_membership_agrees_with_kernel(case, data):
 @settings(max_examples=400, deadline=None)
 @given(matrices(max_rows=6), st.data())
 def test_support_solve_matches_fraction_back_substitution(case, data):
+    # one support against several targets: combinations of the columns
+    # (so consistent systems come up often), scaled combinations whose
+    # products overflow int64 although every entry fits, and random
+    # targets, mostly outside the span
     dim, cols = case
-    if data.draw(st.booleans()) and cols:
-        # a combination of the columns, so consistent systems come up often
-        weights = data.draw(
-            st.lists(st.integers(min_value=-2, max_value=3), min_size=len(cols), max_size=len(cols))
-        )
-        target = [sum(w * col[i] for w, col in zip(weights, cols)) for i in range(dim)]
-    else:
-        target = data.draw(st.lists(entries, min_size=dim, max_size=dim))
-    expected = support_solve_reference(cols, target, dim)
-    assert nonnegative_solution(cols, target, dim) is expected
+    targets = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+        kind = data.draw(st.sampled_from(["combination", "scaled", "random"]))
+        if kind != "random" and cols:
+            weights = data.draw(
+                st.lists(st.integers(min_value=-2, max_value=3), min_size=len(cols), max_size=len(cols))
+            )
+            scale = (1 << 40) + 1 if kind == "scaled" else 1
+            targets.append(
+                [scale * sum(w * col[i] for w, col in zip(weights, cols)) for i in range(dim)]
+            )
+        else:
+            targets.append(data.draw(st.lists(entries, min_size=dim, max_size=dim)))
+    got = nonnegative_solutions(cols, generator_matrix(targets, dim))
+    assert got.dtype == bool and got.shape == (len(targets),)
+    assert got.tolist() == [support_solve_reference(cols, t, dim) for t in targets]
+
+
+def test_support_solve_edge_cases():
+    # the empty support and an all-zero one reach only the zero target
+    zero = generator_matrix([[0, 0], [1, 0]], 2)
+    assert nonnegative_solutions([], zero).tolist() == [True, False]
+    assert nonnegative_solutions([[0, 0], [0, 0]], zero).tolist() == [True, False]
+    # a repeated column keeps the first copy as pivot, a dependent one
+    # stays free; no targets gives an empty verdict
+    cols = [[1, 1], [1, 1], [2, 2], [0, 1]]
+    targets = [[3, 3], [3, 5], [1, 0], [-1, -1]]
+    got = nonnegative_solutions(cols, generator_matrix(targets, 2))
+    assert got.tolist() == [support_solve_reference(cols, t, 2) for t in targets]
+    assert got.tolist() == [True, True, False, False]
+    assert nonnegative_solutions(cols, generator_matrix([], 2)).tolist() == []
 
 
 def cone_member_reference(generators, target):
