@@ -8,7 +8,15 @@ subset sum, sumset sorting, linear degeneracy testing, zero triangles)
 read their answers off that pattern.
 """
 
-from .geometry import Rational, Sign, SignVector, Vector, inner_product, sign_of
+from .geometry import (
+    Family,
+    Rational,
+    Sign,
+    SignVector,
+    Vector,
+    inner_product,
+    sign_of,
+)
 from .inference import (
     CellDescription,
     InconsistentSampleError,
@@ -40,6 +48,7 @@ from .solver import SolveConfig, SolveReport, SolverStalledError, decide, solve
 __all__ = [
     "CellDescription",
     "Encoding",
+    "Family",
     "HiddenPointOracle",
     "HomogeneousSystem",
     "InconsistentPatternError",

@@ -5,8 +5,8 @@ is an open full-dimensional cone cut by the consecutive block
 differences of the sorted chain.  Over such a cone a hyperplane is
 sign-constant exactly when it, or its negation, is a nonnegative
 combination of those differences, so inference reduces to cone
-membership.  This module answers that question for a whole working set
-at once, cheapest proof first:
+membership.  This module answers that question for a whole live set at
+once, cheapest proof first:
 
   * reduce modulo the equality span; a vanishing reduction means ZERO;
   * reject against a pool of exact interior points (mixed signs, or a
@@ -24,6 +24,12 @@ missed proof is a hyperplane left undetermined.  All exact algebra is
 fraction-free integer arithmetic from intlin: the kernel basis of the
 equalities, the batched support solves that verify least-squares
 proposals, and the last-resort cone-membership simplex.
+
+The live set arrives as row indices into one geometry.Family, whose
+integer matrix (rational families scaled by a common denominator)
+supplies both the sample's member rows and the rows to decide, so
+every family takes this integer engine.  Each tier works on the whole
+live matrix at once, and the result is returned as arrays.
 """
 
 from __future__ import annotations
@@ -36,12 +42,11 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize import nnls as scipy_nnls
 
-from .geometry import Sign, Vector
+from .geometry import Family, Sign, SignVector
 from .inference import (
     CellDescription,
     InconsistentSampleError,
     InferenceOutcome,
-    infer_sign,
 )
 from .intlin import (
     GEMM_GUARD,
@@ -111,11 +116,10 @@ class _ChainCell:
         return self._nnls_mat
 
 
-def _chain_cell(sample, dim: int) -> _ChainCell | None:
-    """Build the reduced cell; None when the data is not integral."""
-    vecs = [v.ints for _, v in sample.members]
-    if any(v is None for v in vecs):
-        return None
+def _chain_cell(sample, rows: np.ndarray) -> _ChainCell:
+    """Build the reduced cell from the member rows, one per member."""
+    dim = rows.shape[1]
+    vecs = [tuple(r) for r in rows.tolist()]
     blocks, blabels = _split_blocks(sample)
     zero_blocks = [i for i, lab in enumerate(blabels) if lab is Sign.ZERO]
     if len(zero_blocks) > 1:
@@ -261,7 +265,7 @@ def _build_pool(cc: _ChainCell) -> np.ndarray:
     if not cc.chain:
         eye = np.eye(nr, dtype=np.int64)
         return np.hstack([eye, -eye]) if nr else np.zeros((nr, 0), dtype=np.int64)
-    C = np.array(cc.chain, dtype=np.int64)
+    C = cc.gen_mat()
     cmax = max(1, int(np.abs(C).max()))
     Cf = C.astype(np.float64)
     m = C.shape[0]
@@ -566,54 +570,48 @@ def _fast_uniform_certs(
 
 
 def infer_set_batch(
-    cell: CellDescription, remaining: Sequence[tuple[int, Vector]]
+    cell: CellDescription, live: Sequence[int], family: Family
 ) -> InferenceOutcome:
-    """Decide every member of remaining against the sample cell."""
+    """Decide every row of family indexed by live against the sample cell."""
     sample = cell.sample
-    n = cell.dim
-    inferred: dict[int, Sign] = {}
-    label_of = {ident: lab for (ident, _), lab in zip(sample.members, sample.labels)}
-    member_vec = {ident: v for ident, v in sample.members}
-    rest: list[tuple[int, Vector]] = []
-    for ident, v in remaining:
-        if ident in label_of:
-            if member_vec[ident] != v:
-                raise ValueError(f"identifier {ident} names two different vectors")
-            inferred[ident] = label_of[ident]
-        else:
-            rest.append((ident, v))
-    if not rest:
-        return InferenceOutcome(inferred, [])
+    live = np.asarray(live, dtype=np.intp)
+    mids = [ident for ident, _ in sample.members]
+    member_rows = family.rows[mids]
+    for (ident, v), row in zip(sample.members, member_rows.tolist()):
+        if family.row_of(v) != tuple(row):
+            raise ValueError(f"identifier {ident} names two different vectors")
 
-    cc = _chain_cell(sample, n)
-    if cc is None or any(v.ints is None for _, v in rest):
-        undetermined: list[int] = []
-        for ident, v in rest:
-            s = infer_sign(cell, v)
-            if s is None:
-                undetermined.append(ident)
-            else:
-                inferred[ident] = s
-        return InferenceOutcome(inferred, undetermined)
+    # sample members keep their queried labels; 2 marks the other rows
+    queried = np.full(len(family), 2, dtype=np.int8)
+    queried[mids] = [int(lab) for lab in sample.labels]
+    signs = queried[live]
+    done = signs != 2
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        cc = _chain_cell(sample, member_rows)
+        rest_signs, rest_done = _decide_rows(cc, family.rows[live[rest]])
+        signs[rest] = rest_signs
+        done[rest] = rest_done
+    return InferenceOutcome(
+        SignVector.from_arrays(live[done], signs[done]), live[~done]
+    )
 
-    ids = [ident for ident, _ in rest]
-    N = len(rest)
+
+def _decide_rows(cc: _ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs (-1, 0, 1, as int8) of the rows of Hfull over the cell, and
+    which of them are settled."""
+    N, n = Hfull.shape
     nr = cc.n_red
-
-    Hfull = np.array([v.ints for _, v in rest], dtype=np.int64)
     if cc.kb is not None:
         if nr == 0:
-            for ident in ids:
-                inferred[ident] = Sign.ZERO
-            return InferenceOutcome(inferred, [])
-        KB = np.array(cc.kb, dtype=np.int64).T
+            return np.zeros(N, dtype=np.int8), np.ones(N, dtype=bool)
+        KB = generator_matrix(cc.kb, n).T
         hmax = int(np.abs(Hfull).max(initial=0))
         kmax = int(np.abs(KB).max(initial=0))
-        if hmax * kmax * n < GEMM_GUARD:
+        if Hfull.dtype != object and KB.dtype != object and hmax * kmax * n < GEMM_GUARD:
             Hred = Hfull @ KB
         else:
-            Hred = np.array(Hfull, dtype=object) @ np.array(KB, dtype=object)
-            Hred = Hred.astype(object)
+            Hred = Hfull.astype(object) @ KB.astype(object)
     else:
         Hred = Hfull
 
@@ -679,14 +677,5 @@ def infer_set_batch(
                 signs[i] = 1 if cand_plus[i] else -1
                 settled[i] = True
 
-    undetermined = []
-    for i, ident in enumerate(ids):
-        if zero_rows[i]:
-            inferred[ident] = Sign.ZERO
-        elif settled[i] and signs[i] > 0:
-            inferred[ident] = Sign.PLUS
-        elif settled[i] and signs[i] < 0:
-            inferred[ident] = Sign.MINUS
-        else:
-            undetermined.append(ident)
-    return InferenceOutcome(inferred, undetermined)
+    # proven outside the cone is settled too, with sign 0: not inferable
+    return signs, zero_rows | (signs != 0)

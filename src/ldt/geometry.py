@@ -1,4 +1,4 @@
-"""Exact scalars, vectors and sign patterns.
+"""Exact scalars, vectors, hyperplane families and sign patterns.
 
 Every sign decision in this package is made with arbitrary-precision
 rational arithmetic.  Floats never touch a comparison: a point that is
@@ -8,10 +8,16 @@ promise that.
 
 from __future__ import annotations
 
+import operator
 import re
 from enum import IntEnum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
+
+from .intlin import GEMM_GUARD, generator_matrix
 
 Rational = Fraction
 
@@ -220,47 +226,205 @@ def inner_product(h: Vector, x: Vector) -> Rational:
     return h.dot(x)
 
 
+class Family(Sequence[Vector]):
+    """An immutable hyperplane family held as one integer row matrix.
+
+    rows is a (len, dim) array: int64 while every entry is below
+    GEMM_GUARD, Python integers (object dtype) past it.  A rational
+    family is scaled by one common positive denominator den, which
+    changes no label and no comparison, so rows is integral for every
+    family.  A family made from Vectors keeps them, so family[i] is the
+    Vector the caller passed in; a family made from a matrix builds
+    family[i], rows[i] / den, only when asked.
+    """
+
+    __slots__ = ("rows", "den", "_vectors")
+
+    rows: np.ndarray
+    den: int
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        den: int = 1,
+        vectors: Sequence[Vector] | None = None,
+    ) -> None:
+        rows = np.asarray(rows)
+        if rows.ndim != 2:
+            raise ValueError("family rows must form a matrix")
+        if rows.dtype == object:
+            top = max((abs(operator.index(a)) for a in rows.flat), default=0)
+        elif rows.dtype.kind in "iu":
+            top = max(abs(int(rows.max(initial=0))), abs(int(rows.min(initial=0))))
+        else:
+            raise TypeError(f"family rows must be integers, not {rows.dtype}")
+        rows = rows.astype(np.int64 if top < GEMM_GUARD else object)
+        rows.flags.writeable = False
+        if type(den) is not int or den < 1:
+            raise ValueError("the common denominator must be a positive integer")
+        if vectors is not None and len(vectors) != len(rows):
+            raise ValueError("one Vector per row")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_vectors", vectors)
+
+    @classmethod
+    def of(cls, vectors: Iterable[Vector]) -> "Family":
+        """The family of the given Vectors, converted once; a Family is
+        returned as it is."""
+        if isinstance(vectors, Family):
+            return vectors
+        vecs = tuple(vectors)
+        dim = vecs[0].dim if vecs else 0
+        if any(v.dim != dim for v in vecs):
+            raise ValueError("family members must share one dimension")
+        ints = [v.ints for v in vecs]
+        den = 1
+        if any(r is None for r in ints):
+            den = lcm(*(c.denominator for v in vecs for c in v.coords))
+            ints = [
+                tuple(c.numerator * (den // c.denominator) for c in v.coords)
+                for v in vecs
+            ]
+        return cls(generator_matrix(ints, dim), den, vecs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Family is immutable")
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, index: int) -> Vector:
+        i = operator.index(index)
+        if self._vectors is not None:
+            return self._vectors[i]
+        row = self.rows[i].tolist()
+        if self.den == 1:
+            return Vector(tuple(row))
+        return Vector(Fraction(a, self.den) for a in row)
+
+    def row_of(self, v: Vector) -> tuple[int, ...] | None:
+        """v as this family's matrix holds a row: its coordinates times
+        den, or None when those are not all integers."""
+        return v.ints if self.den == 1 else v.scaled(self.den).ints
+
+    def __repr__(self) -> str:
+        return f"Family({len(self)} rows, dim {self.dim}, den {self.den})"
+
+
+_SIGNS = (Sign.MINUS, Sign.ZERO, Sign.PLUS)
+_SIGN_CHARS = bytes.maketrans(b"\x00\x01\x02", b"-0+")
+
+
 class SignVector:
     """Sign pattern of a point against an identified hyperplane family.
 
     Maps hyperplane identifier to the Sign of the corresponding inner
-    product.  Equality is entrywise, which makes patterns directly
-    comparable across runs.
+    product, held as two aligned arrays: the identifiers in ascending
+    order and their signs as int8 (-1, 0, 1).  Equality is entrywise,
+    which makes patterns directly comparable across runs.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("_ids", "_signs", "_dense")
 
     def __init__(self, entries: Mapping[int, Sign]) -> None:
-        object.__setattr__(self, "entries", dict(entries))
+        items = sorted(entries.items())
+        self._hold(
+            np.array([i for i, _ in items], dtype=np.int64),
+            np.array([int(s) for _, s in items], dtype=np.int8),
+        )
+
+    @classmethod
+    def from_arrays(cls, ids: Sequence[int], signs: Sequence[int]) -> "SignVector":
+        """The pattern giving identifier ids[j] the sign signs[j]."""
+        ids = np.array(ids, dtype=np.int64)
+        signs = np.array(signs, dtype=np.int8)
+        if ids.shape != signs.shape or ids.ndim != 1:
+            raise ValueError("one sign per identifier")
+        if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids, signs = ids[order], signs[order]
+            if (ids[1:] == ids[:-1]).any():
+                raise ValueError("identifier given two signs")
+        if signs.size and (signs.min() < -1 or signs.max() > 1):
+            raise ValueError("signs are -1, 0 or 1")
+        out = cls.__new__(cls)
+        out._hold(ids, signs)
+        return out
+
+    def _hold(self, ids: np.ndarray, signs: np.ndarray) -> None:
+        ids.flags.writeable = False
+        signs.flags.writeable = False
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_signs", signs)
+        # identifiers exactly 0..len-1 index the sign array directly
+        dense = not ids.size or (ids[0] == 0 and ids[-1] == ids.size - 1)
+        object.__setattr__(self, "_dense", bool(dense))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SignVector is immutable")
 
+    def _position(self, ident: int) -> int | None:
+        n = self._ids.size
+        if self._dense:
+            return ident if 0 <= ident < n else None
+        p = int(np.searchsorted(self._ids, ident))
+        return p if p < n and self._ids[p] == ident else None
+
     def __getitem__(self, ident: int) -> Sign:
-        return self.entries[ident]
+        p = self._position(ident)
+        if p is None:
+            raise KeyError(ident)
+        return _SIGNS[self._signs[p] + 1]
+
+    def get(self, ident: int, default: Sign | None = None) -> Sign | None:
+        p = self._position(ident)
+        return default if p is None else _SIGNS[self._signs[p] + 1]
 
     def __contains__(self, ident: int) -> bool:
-        return ident in self.entries
+        return self._position(ident) is not None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._ids.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignVector):
             return NotImplemented
-        return self.entries == other.entries
+        return np.array_equal(self._ids, other._ids) and np.array_equal(
+            self._signs, other._signs
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending identifiers and their int8 signs, read-only."""
+        return self._ids, self._signs
+
+    def prefix(self, length: int) -> np.ndarray:
+        """Signs of identifiers 0..length-1 as one int8 array; KeyError
+        when one of them is missing."""
+        ids = self._ids
+        if length and not (
+            ids.size >= length and ids[0] == 0 and ids[length - 1] == length - 1
+        ):
+            raise KeyError(next(i for i in range(length) if i not in self))
+        return self._signs[:length]
 
     def ids(self) -> list[int]:
-        return sorted(self.entries)
+        return self._ids.tolist()
 
     def items(self) -> list[tuple[int, Sign]]:
-        return sorted(self.entries.items())
+        return [(i, _SIGNS[s + 1]) for i, s in zip(self._ids.tolist(), self._signs.tolist())]
 
     def contains_zero(self) -> bool:
-        return any(s is Sign.ZERO for s in self.entries.values())
+        return not self._signs.all()
 
     def as_string(self) -> str:
-        return "".join(self.entries[i].char for i in self.ids())
+        return (self._signs + 1).astype(np.uint8).tobytes().translate(_SIGN_CHARS).decode()
 
     def __repr__(self) -> str:
         return f"SignVector({self.as_string()!r})"

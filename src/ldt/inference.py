@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .geometry import Sign, Vector, sign_of
+import numpy as np
+
+from .geometry import Family, Sign, SignVector, Vector, sign_of
 from .intlin import in_span, row_basis
 from .lp import (
     HomogeneousSystem,
@@ -193,24 +195,30 @@ def infer_sign(cell: CellDescription, h: Vector) -> Sign | None:
 
 @dataclass
 class InferenceOutcome:
-    """Result of inference over a working set."""
+    """Result of inference over a live set of family rows.
 
-    inferred: dict[int, Sign]
-    undetermined: list[int]
+    inferred holds the rows whose sign is settled, undetermined the
+    ascending indices of the rows left for direct labels.
+    """
+
+    inferred: SignVector
+    undetermined: np.ndarray
 
 
 def infer_set(
-    cell: CellDescription, remaining: Sequence[tuple[int, Vector]]
+    cell: CellDescription, live: Sequence[int], family: Family
 ) -> InferenceOutcome:
-    """Decide every member of remaining against the cell.
+    """Decide every row of family indexed by live against the cell.
 
-    Sample members always come back with their queried labels; the
-    batched engine, which works on the chain structure of the sorted
-    sample, decides the rest.
+    The sample's member identifiers index the same family, and its
+    member rows are read from the family's matrix.  Sample members
+    always come back with their queried labels; the batched engine,
+    which works on the chain structure of the sorted sample, decides
+    the rest.
     """
     from .batch import infer_set_batch
 
-    return infer_set_batch(cell, remaining)
+    return infer_set_batch(cell, live, family)
 
 
 def structural_infer(sample: SortedSample, h: Vector) -> Sign | None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .geometry import Sign, Vector, sign_of
+from .geometry import Family, Sign, Vector, sign_of
 from .inference import SortedSample, cell_from_sample, infer_set, infer_sign
 from .lp import HomogeneousSystem, feasible, interior_witness
 from .problems import SizeCapError
@@ -570,7 +570,7 @@ def crosscheck_inference(trials: int, seed: int = 0) -> tuple[int, int]:
         members = [(i, family[i]) for i in range(size)]
         sample = sample_at(members, x)
         cell = cell_from_sample(sample, dim)
-        outcome = infer_set(cell, [(i, v) for i, v in enumerate(family)])
+        outcome = infer_set(cell, range(m), Family.of(family))
 
         good = True
         for i, h in enumerate(family):

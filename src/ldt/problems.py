@@ -2,8 +2,10 @@
 
 Each encoder lays a problem out as a family of integer hyperplanes and
 a hidden point built from the instance values, so that the answer can
-be read off the hidden point's sign pattern.  Enumerative encoders
-refuse inputs past their documented caps instead of silently grinding.
+be read off the hidden point's sign pattern.  The family is filled in
+as one integer matrix; no per-row Vector is built.  Enumerative
+encoders refuse inputs past their documented caps before any matrix is
+allocated.
 
 Brute-force references live here too; they answer the same questions by
 direct enumeration and serve as ground truth everywhere the solver's
@@ -18,7 +20,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .geometry import Rational, Sign, SignVector, Vector, parse_rational
+import numpy as np
+
+from .geometry import Family, Rational, SignVector, Vector, parse_rational
 from .prng import SplitMix64
 
 
@@ -48,7 +52,7 @@ class Encoding:
 
     kind: str
     dim: int
-    family: list[Vector]
+    family: Family
     hidden: Vector
     answer_kind: str
     meta: dict = field(default_factory=dict)
@@ -72,16 +76,12 @@ def encode_ksum(values: Sequence[Rational | int], k: int) -> Encoding:
             f"{count} {k}-subsets of {n} values exceed cap {KSUM_SUBSET_CAP}"
         )
     subsets = list(combinations(range(n), k))
-    family = []
-    for sub in subsets:
-        coords = [0] * n
-        for i in sub:
-            coords[i] = 1
-        family.append(Vector(coords))
+    rows = np.zeros((count, n), dtype=np.int64)
+    rows[np.arange(count)[:, None], np.array(subsets)] = 1
     return Encoding(
         kind="ksum",
         dim=n,
-        family=family,
+        family=Family(rows),
         hidden=Vector(vals),
         answer_kind="decision",
         meta={"k": k, "subsets": subsets},
@@ -100,19 +100,14 @@ def encode_subset_sum(
         raise SizeCapError(
             f"subset-sum enumerates 2^n-1 hyperplanes; n={n} exceeds cap {cap}"
         )
-    family = []
-    subsets = []
-    for mask in range(1, 1 << n):
-        coords = [(mask >> i) & 1 for i in range(n)]
-        family.append(Vector(coords))
-        subsets.append(tuple(i for i in range(n) if (mask >> i) & 1))
+    # row mask - 1 holds the bits of mask: it is the subset itself
+    rows = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
     return Encoding(
         kind="subsetsum",
         dim=n,
-        family=family,
+        family=Family(rows),
         hidden=Vector(vals),
         answer_kind="decision",
-        meta={"subsets": subsets},
     )
 
 
@@ -139,21 +134,20 @@ def encode_sort_sumset(
         )
     pairs = [(i, j) for i in range(na) for j in range(nb)]
     dim = na + nb
-    family = []
-    compared = []
-    for p, q in combinations(range(len(pairs)), 2):
-        (i, j), (k, l) = pairs[p], pairs[q]
-        coords = [0] * dim
-        coords[i] += 1
-        coords[k] -= 1
-        coords[na + j] += 1
-        coords[na + l] -= 1
-        family.append(Vector(coords))
-        compared.append((p, q))
+    # one row per pair p < q of pair indices, in combinations order:
+    # (a_i + b_j) - (a_k + b_l) for p = (i, j) and q = (k, l)
+    p, q = np.triu_indices(len(pairs), 1)
+    compared = np.stack([p, q], axis=1)
+    rows = np.zeros((len(p), dim), dtype=np.int64)
+    r = np.arange(len(p))
+    rows[r, p // nb] += 1
+    rows[r, q // nb] -= 1
+    rows[r, na + p % nb] += 1
+    rows[r, na + q % nb] -= 1
     return Encoding(
         kind="sortsumset",
         dim=dim,
-        family=family,
+        family=Family(rows),
         hidden=Vector(avals + bvals),
         answer_kind="ordering",
         meta={"pairs": pairs, "compared": compared, "na": na, "nb": nb},
@@ -186,19 +180,17 @@ def encode_kldt(
     hidden = [alph[0]]
     for t in range(1, k + 1):
         hidden.extend(alph[t] * a for a in vals)
-    family = []
-    tuples = []
-    for tup in permutations(range(n), k):
-        coords = [0] * dim
-        coords[0] = 1
-        for t, j in enumerate(tup):
-            coords[1 + t * n + j] = 1
-        family.append(Vector(coords))
-        tuples.append(tup)
+    tuples = list(permutations(range(n), k))
+    rows = np.zeros((count, dim), dtype=np.int64)
+    rows[:, 0] = 1
+    if tuples:
+        # slot t of index j sits at 1 + t * n + j
+        slots = 1 + np.arange(k) * n + np.array(tuples)
+        rows[np.arange(count)[:, None], slots] = 1
     return Encoding(
         kind="kldt",
         dim=dim,
-        family=family,
+        family=Family(rows),
         hidden=Vector(hidden),
         answer_kind="decision",
         meta={"k": k, "n": n, "tuples": tuples},
@@ -225,7 +217,7 @@ def encode_zero_triangles(
             raise InstanceFormatError(f"duplicate edge {key}")
         index[key] = len(weights)
         weights.append(Fraction(wt))
-    family = []
+    edge_ids = []
     triangles = []
     for u, v, w in combinations(range(1, n_vertices + 1), 3):
         e1 = index.get((u, v))
@@ -233,14 +225,15 @@ def encode_zero_triangles(
         e3 = index.get((v, w))
         if e1 is None or e2 is None or e3 is None:
             continue
-        coords = [0] * len(weights)
-        coords[e1] = coords[e2] = coords[e3] = 1
-        family.append(Vector(coords))
+        edge_ids.append((e1, e2, e3))
         triangles.append((u, v, w))
+    rows = np.zeros((len(edge_ids), len(weights)), dtype=np.int64)
+    if edge_ids:
+        rows[np.arange(len(edge_ids))[:, None], np.array(edge_ids)] = 1
     return Encoding(
         kind="triangles",
         dim=len(weights),
-        family=family,
+        family=Family(rows),
         hidden=Vector(weights),
         answer_kind="decision",
         meta={"triangles": triangles},
@@ -256,46 +249,32 @@ def extract_answer(enc: Encoding, pattern: SignVector):
     point could produce raises instead of returning garbage.
     """
     if enc.answer_kind == "decision":
-        return any(pattern[i] is Sign.ZERO for i in range(len(enc.family)))
-    assert enc.answer_kind == "ordering"
+        return pattern.contains_zero()
+    if enc.answer_kind != "ordering":
+        raise ValueError(f"unknown answer kind {enc.answer_kind!r}")
     pairs = enc.meta["pairs"]
-    compared = enc.meta["compared"]
+    p, q = enc.meta["compared"].T
+    signs = pattern.prefix(len(enc.family))
     m = len(pairs)
-    cmp: list[list[Sign | None]] = [[None] * m for _ in range(m)]
-    for ident, (p, q) in enumerate(compared):
-        s = pattern[ident]
-        cmp[p][q] = s
-        cmp[q][p] = s.flipped()
-    for p in range(m):
-        cmp[p][p] = Sign.ZERO
-    rank = [sum(1 for q in range(m) if cmp[p][q] is Sign.PLUS) for p in range(m)]
-    order = sorted(range(m), key=lambda p: rank[p])
-    groups: list[list[int]] = []
-    for p in order:
-        if groups and rank[groups[-1][0]] == rank[p]:
-            groups[-1].append(p)
-        else:
-            groups.append([p])
-    base = 0
-    for g in groups:
-        if rank[g[0]] != base:
-            raise InconsistentPatternError("ranks do not tile the order")
-        base += len(g)
-    for gi, g in enumerate(groups):
-        for p in g:
-            for q in g:
-                if cmp[p][q] is not Sign.ZERO:
-                    raise InconsistentPatternError(
-                        f"pair {p},{q} grouped but not tied"
-                    )
-            for hg in groups[gi + 1 :]:
-                for q in hg:
-                    if cmp[p][q] is not Sign.MINUS:
-                        raise InconsistentPatternError(
-                            f"pair {p},{q} ordered inconsistently"
-                        )
+    # cmp[p, q] is the sign of sum_p - sum_q
+    cmp = np.zeros((m, m), dtype=np.int8)
+    cmp[p, q] = signs
+    cmp[q, p] = -signs
+    rank = (cmp > 0).sum(axis=1)
+    order = np.argsort(rank, kind="stable")
+    ranks = rank[order]
+    starts = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
+    group = np.zeros(m, dtype=np.int64)
+    group[starts] = 1
+    group = np.cumsum(group)
+    # consistent exactly when ties sit in one group and every earlier
+    # group lies below every later one; the ranks then tile the order
+    want = np.sign(group[:, None] - group[None, :])
+    if not np.array_equal(cmp[np.ix_(order, order)], want):
+        raise InconsistentPatternError("pattern orders the pairwise sums inconsistently")
     return [
-        sorted((pairs[p][0] + 1, pairs[p][1] + 1) for p in g) for g in groups
+        sorted((pairs[i][0] + 1, pairs[i][1] + 1) for i in g.tolist())
+        for g in np.split(order, starts)
     ]
 
 

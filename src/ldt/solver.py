@@ -11,6 +11,12 @@ directly.
 All signs come from oracle answers or exact certificates, never from
 guesses, so the reported pattern is correct on every run regardless of
 the seed.
+
+The family is converted to one integer matrix once per solve (see
+geometry.Family), and the bookkeeping runs on it as array operations:
+duplicate and zero rows, the coordinate bound W, and the live set as
+an ascending array of row indices.  Only the sample members and the
+rows labelled directly are ever turned into Vectors, for the oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import Sign, SignVector, Vector
+import numpy as np
+
+from .geometry import Family, SignVector, Vector
 from .inference import build_sorted_sample, cell_from_sample, infer_set
 from .oracle import HiddenPointOracle
 from .prng import SplitMix64
@@ -87,36 +95,58 @@ class SolveReport:
         return self.label_queries + self.comparison_queries
 
 
+def _first_copies(rows: np.ndarray) -> np.ndarray:
+    """alias[i]: the first index whose row equals row i.
+
+    int64 rows are hashed to one 64-bit key each (a wrapping product
+    with fixed odd weights); only rows whose key is shared are compared
+    exactly, so distinct rows never merge and a family without repeats
+    costs one sort of its keys.
+    """
+    m, n = rows.shape
+    alias = np.arange(m)
+    if rows.dtype == object:
+        suspects = alias
+    else:
+        rng = SplitMix64(0xD1CE_0F_F00D)
+        weights = np.array([rng.next_u64() | 1 for _ in range(n)], dtype=np.uint64)
+        keys = rows.astype(np.uint64) @ weights
+        ordered = np.sort(keys)
+        shared = ordered[1:][ordered[1:] == ordered[:-1]]
+        if not shared.size:
+            return alias
+        suspects = np.flatnonzero(np.isin(keys, shared))
+    canon: dict[tuple[int, ...], int] = {}
+    for i, row in zip(suspects.tolist(), rows[suspects].tolist()):
+        alias[i] = canon.setdefault(tuple(row), i)
+    return alias
+
+
 def solve(
     family: Sequence[Vector],
     oracle: HiddenPointOracle,
     config: SolveConfig | None = None,
 ) -> SolveReport:
-    """Locate the hidden point's full sign pattern over the family."""
+    """Locate the hidden point's full sign pattern over the family.
+
+    family is a Family or any sequence of Vectors, converted once.
+    """
     config = config or SolveConfig()
-    family = list(family)
-    if not family:
+    family = Family.of(family)
+    m = len(family)
+    if not m:
         raise ValueError("family must be nonempty")
-    n = family[0].dim
-    if any(v.dim != n for v in family):
-        raise ValueError("family members must share one dimension")
+    n = family.dim
+    rows = family.rows
 
-    canon: dict[Vector, int] = {}
-    alias: list[int] = []
-    for i, v in enumerate(family):
-        alias.append(canon.setdefault(v, i))
+    # duplicates copy the sign of their first occurrence, zero rows are
+    # ZERO, and every other row starts live
+    alias = _first_copies(rows)
+    signs = np.zeros(m, dtype=np.int8)
+    live = np.flatnonzero((alias == np.arange(m)) & (rows != 0).any(axis=1))
 
-    pattern: dict[int, Sign] = {}
-    work: list[tuple[int, Vector]] = []
-    for i, v in enumerate(family):
-        if alias[i] != i:
-            continue
-        if v.is_zero():
-            pattern[i] = Sign.ZERO
-        else:
-            work.append((i, v))
-
-    w = max((v.linf() for v in family), default=Fraction(0))
+    # the largest coordinate of the family as given, before scaling
+    w = Fraction(int(np.abs(rows).max(initial=0)), family.den)
     q = Fraction(2) + n * w
     d_est = ceil_mul_log2(config.sample_constant * n, q)
     s_target = 2 * d_est
@@ -124,22 +154,22 @@ def solve(
     before = oracle.ledger.snapshot()
     rng = SplitMix64(config.seed)
     rounds: list[RoundStats] = []
-    while work and s_target > 0 and len(work) >= s_target:
+    while live.size and s_target > 0 and live.size >= s_target:
         if len(rounds) >= config.max_rounds:
             raise SolverStalledError(
                 f"no resolution after {config.max_rounds} rounds"
             )
         mark = oracle.ledger.snapshot()
-        live_before = len(work)
-        picks = rng.sample_indices(len(work), s_target)
-        members = [work[j] for j in picks]
-        ss = build_sorted_sample(members, oracle)
+        live_before = live.size
+        picks = live[rng.sample_indices(live.size, s_target)].tolist()
+        ss = build_sorted_sample([(i, family[i]) for i in picks], oracle)
         cell = cell_from_sample(ss, n)
-        outcome = infer_set(cell, work)
-        if any(ident not in outcome.inferred for ident, _ in members):
+        outcome = infer_set(cell, live, family)
+        ids, inferred = outcome.inferred.arrays()
+        if not np.isin(picks, ids).all():
             raise RuntimeError("inference left a sample member unresolved")
-        pattern.update(outcome.inferred)
-        work = [(i, v) for i, v in work if i not in outcome.inferred]
+        signs[ids] = inferred
+        live = outcome.undetermined
         now = oracle.ledger.snapshot()
         rounds.append(
             RoundStats(
@@ -151,14 +181,13 @@ def solve(
             )
         )
 
-    final_labels = len(work)
-    for ident, v in work:
-        pattern[ident] = oracle.label_query(v, ident=ident)
+    final_labels = live.size
+    for i in live.tolist():
+        signs[i] = oracle.label_query(family[i], ident=i)
 
     after = oracle.ledger.snapshot()
-    entries = {i: pattern[alias[i]] for i in range(len(family))}
     return SolveReport(
-        pattern=SignVector(entries),
+        pattern=SignVector.from_arrays(np.arange(m), signs[alias]),
         rounds=rounds,
         final_labels=final_labels,
         label_queries=after[0] - before[0],
@@ -167,7 +196,7 @@ def solve(
         sample_target=s_target,
         seed=config.seed,
         dim=n,
-        family_size=len(family),
+        family_size=m,
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ldt.geometry import Sign, Vector
+from ldt.geometry import Family, Sign, Vector
 from ldt.inference import (
     InconsistentSampleError,
     SortedSample,
@@ -41,17 +41,23 @@ def _random_cell(rng, dim, n_members, width=2):
     return cell_from_sample(sample, dim), secret, seen
 
 
+def _with_members(cell, vectors):
+    """The sample members (identifiers 0..k-1) followed by vectors, as one
+    family, and the row indices of vectors in it."""
+    members = [v for _, v in cell.sample.members]
+    k = len(members)
+    return Family.of(members + list(vectors)), list(range(k, k + len(vectors)))
+
+
 def test_engine_agrees_with_simplex_route():
     rng = SplitMix64(42)
     for _ in range(60):
         dim = 2 + rng.below(3)
         cell, secret, used = _random_cell(rng, dim, 2 + rng.below(3))
-        targets = []
-        while len(targets) < 6:
-            v = Vector([rng.randint(-2, 2) for _ in range(dim)])
-            targets.append((len(targets) + 100, v))
-        batch_out = infer_set_batch(cell, targets)
-        for ident, v in targets:
+        vecs = [Vector([rng.randint(-2, 2) for _ in range(dim)]) for _ in range(6)]
+        family, live = _with_members(cell, vecs)
+        batch_out = infer_set_batch(cell, live, family)
+        for ident, v in zip(live, vecs):
             slow = infer_sign(cell, v)
             if slow is None:
                 assert ident in batch_out.undetermined
@@ -64,12 +70,10 @@ def test_engine_never_contradicts_hidden_point():
     for _ in range(40):
         dim = 2 + rng.below(3)
         cell, secret, _ = _random_cell(rng, dim, 3)
-        targets = [
-            (100 + j, Vector([rng.randint(-3, 3) for _ in range(dim)]))
-            for j in range(8)
-        ]
-        out = infer_set_batch(cell, targets)
-        for ident, v in targets:
+        vecs = [Vector([rng.randint(-3, 3) for _ in range(dim)]) for _ in range(8)]
+        family, live = _with_members(cell, vecs)
+        out = infer_set_batch(cell, live, family)
+        for ident, v in zip(live, vecs):
             got = out.inferred.get(ident)
             if got is not None:
                 truth = v.dot(secret)
@@ -90,8 +94,8 @@ def test_regression_open_cone_overclaim():
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample([(i, v) for i, v in enumerate(family)], oracle)
     cell = cell_from_sample(sample, 3)
-    out = infer_set_batch(cell, [(3, Vector([-2, -1, 2]))])
-    assert out.undetermined == [3]
+    out = infer_set_batch(cell, [3], Family.of(family + [Vector([-2, -1, 2])]))
+    assert out.undetermined.tolist() == [3]
 
 
 def test_zero_combination_inferred_without_queries():
@@ -101,7 +105,8 @@ def test_zero_combination_inferred_without_queries():
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample(members, oracle)
     cell = cell_from_sample(sample, 3)
-    out = infer_set_batch(cell, [(2, Vector([3, -3, 0]))])
+    family, live = _with_members(cell, [Vector([3, -3, 0])])
+    out = infer_set_batch(cell, live, family)
     assert out.inferred[2] is Sign.ZERO
 
 
@@ -112,8 +117,9 @@ def test_huge_coordinates_take_exact_path():
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample(members, oracle)
     cell = cell_from_sample(sample, 2)
-    targets = [(2, Vector([big, big])), (3, Vector([1, -1])), (4, Vector([-big, 0]))]
-    out = infer_set_batch(cell, targets)
+    targets = [Vector([big, big]), Vector([1, -1]), Vector([-big, 0])]
+    family, live = _with_members(cell, targets)
+    out = infer_set_batch(cell, live, family)
     assert out.inferred[2] is Sign.PLUS
     assert out.inferred[3] is Sign.PLUS
     assert out.inferred[4] is Sign.MINUS
@@ -124,8 +130,9 @@ def test_sample_members_always_resolved():
     for _ in range(20):
         dim = 2 + rng.below(2)
         cell, _, _ = _random_cell(rng, dim, 3)
-        out = infer_set_batch(cell, list(cell.sample.members))
-        assert not out.undetermined
+        family, _ = _with_members(cell, [])
+        out = infer_set_batch(cell, range(len(family)), family)
+        assert not out.undetermined.size
         for (ident, _), lab in zip(cell.sample.members, cell.sample.labels):
             assert out.inferred[ident] is lab
 
@@ -148,15 +155,16 @@ def test_contradictory_answers_raise_typed_error(vectors, labels, gaps):
     members = [(i, Vector(v)) for i, v in enumerate(vectors)]
     sample = SortedSample(members, labels, list(range(len(members))), gaps)
     cell = cell_from_sample(sample, 2)
+    family, live = _with_members(cell, [Vector([1, 1])])
     with pytest.raises(InconsistentSampleError):
-        infer_set_batch(cell, [(99, Vector([1, 1]))])
+        infer_set_batch(cell, live, family)
 
 
 def test_misuse_raises_value_error():
     sample = SortedSample([(0, Vector([1, 0]))], [P], [0], [])
     cell = cell_from_sample(sample, 2)
     with pytest.raises(ValueError, match="names two different vectors"):
-        infer_set_batch(cell, [(0, Vector([0, 1]))])
+        infer_set_batch(cell, [0], Family.of([Vector([0, 1])]))
 
 
 def test_exact_membership_on_solved_ksum_cell(monkeypatch):
@@ -198,7 +206,8 @@ def test_exact_memberships_spend_the_budget_only_on_unproved_rows(monkeypatch):
     for _ in range(30):
         dim = 3 + rng.below(2)
         cell, _, _ = _random_cell(rng, dim, 6)
-        cc = batch._chain_cell(cell.sample, dim)
+        members = Family.of(v for _, v in cell.sample.members)
+        cc = batch._chain_cell(cell.sample, members.rows)
         nr = cc.n_red
         targets = []
         for _ in range(12):

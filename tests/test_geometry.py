@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ldt.geometry import (
+    Family,
     Sign,
     SignVector,
     Vector,
@@ -102,3 +104,58 @@ def test_ground_truth_weight3_pattern():
     zero_ids = [i for i in range(len(family)) if pattern[i] is Sign.ZERO]
     assert zero_ids == [0]
     assert pattern[3] is Sign.PLUS  # 2 - 3 + 5
+
+
+def test_family_of_integer_vectors_keeps_them():
+    vecs = [Vector([1, -2]), Vector([0, 3]), Vector([1, -2])]
+    fam = Family.of(vecs)
+    assert fam.rows.dtype == np.int64 and fam.den == 1 and fam.dim == 2
+    assert fam.rows.tolist() == [[1, -2], [0, 3], [1, -2]]
+    assert all(fam[i] is v for i, v in enumerate(vecs))
+    assert list(fam) == vecs
+    assert Family.of(fam) is fam
+    with pytest.raises(ValueError):
+        Family.of([Vector([1]), Vector([1, 2])])
+
+
+def test_family_scales_rational_rows_by_one_denominator():
+    vecs = [Vector([Fraction(1, 2), 1]), Vector([Fraction(-2, 3), 0]), Vector([4, 5])]
+    fam = Family.of(vecs)
+    assert fam.den == 6
+    assert fam.rows.tolist() == [[3, 6], [-4, 0], [24, 30]]
+    # the oracle still sees the vectors the caller passed in
+    assert all(fam[i] is v for i, v in enumerate(vecs))
+    assert fam.row_of(vecs[1]) == (-4, 0)
+    assert fam.row_of(Vector([Fraction(1, 4), 0])) is None
+    # a matrix-made family reads its rows back over the denominator
+    assert list(Family(fam.rows, 6)) == vecs
+
+
+def test_family_dtype_follows_its_entries():
+    edge = (1 << 62) - 1
+    assert Family.of([Vector([edge, -edge])]).rows.dtype == np.int64
+    for big in (1 << 62, -(1 << 62), 1 << 63, 1 << 70):
+        fam = Family.of([Vector([big, 1])])
+        assert fam.rows.dtype == object
+        assert fam[0] == Vector([big, 1])
+        assert Family(np.array([[big, 1]], dtype=object))[0] == Vector([big, 1])
+    small = Family(np.array([[1, 2]], dtype=object))
+    assert small.rows.dtype == np.int64
+    with pytest.raises(TypeError):
+        Family(np.array([[0.5, 1.0]]))
+
+
+def test_sign_vector_from_arrays():
+    sv = SignVector.from_arrays([5, 0, 1], [-1, 1, 0])
+    assert sv == SignVector({0: Sign.PLUS, 1: Sign.ZERO, 5: Sign.MINUS})
+    assert sv.items() == [(0, Sign.PLUS), (1, Sign.ZERO), (5, Sign.MINUS)]
+    assert sv.get(3) is None and sv.get(5) is Sign.MINUS
+    assert sv.as_string() == "+0-"
+    with pytest.raises(KeyError):
+        sv.prefix(3)
+    assert sv.prefix(2).tolist() == [1, 0]
+    with pytest.raises(ValueError):
+        SignVector.from_arrays([1, 1], [0, 0])
+    dense = SignVector.from_arrays(range(4), [1, 1, -1, 1])
+    assert dense[2] is Sign.MINUS and 4 not in dense and -1 not in dense
+    assert not dense.contains_zero()

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from ldt.geometry import Sign, Vector
+from ldt.geometry import Family, Sign, SignVector, Vector
 from ldt.inference import (
     build_sorted_sample,
     cell_from_sample,
@@ -80,13 +80,15 @@ def test_infer_set_matches_per_hyperplane():
     sample, _ = _sample(vecs, secret)
     cell = cell_from_sample(sample, 3)
     extra = [
-        (10, Vector([1, 1, 1])),
-        (11, Vector([1, -1, 0])),
-        (12, Vector([0, 1, -1])),
-        (13, Vector([2, 2, 0])),
+        Vector([1, 1, 1]),
+        Vector([1, -1, 0]),
+        Vector([0, 1, -1]),
+        Vector([2, 2, 0]),
     ]
-    outcome = infer_set(cell, extra)
-    for ident, v in extra:
+    family = Family.of([v for _, v in sample.members] + extra)
+    live = range(len(vecs), len(family))
+    outcome = infer_set(cell, live, family)
+    for ident, v in zip(live, extra):
         expected = infer_sign(cell, v)
         if expected is None:
             assert ident in outcome.undetermined
@@ -97,9 +99,9 @@ def test_infer_set_matches_per_hyperplane():
 def test_infer_set_echoes_sample_labels():
     sample, _ = _sample([(1, 0), (0, 1)], (3, 1))
     cell = cell_from_sample(sample, 2)
-    outcome = infer_set(cell, list(sample.members))
-    assert outcome.inferred == {0: Sign.PLUS, 1: Sign.PLUS}
-    assert outcome.undetermined == []
+    outcome = infer_set(cell, [0, 1], Family.of(v for _, v in sample.members))
+    assert outcome.inferred == SignVector({0: Sign.PLUS, 1: Sign.PLUS})
+    assert outcome.undetermined.tolist() == []
 
 
 def test_structural_infer_span_rule():

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
-from ldt.geometry import Sign, Vector, ground_truth_pattern
+from ldt import problems
+from ldt.geometry import Family, Sign, SignVector, Vector, ground_truth_pattern
 from ldt.prng import SplitMix64
 from ldt.problems import (
     InconsistentPatternError,
@@ -202,3 +205,186 @@ def test_sumset_instance_shapes():
     assert len(a) == 4 and len(b) == 6
     enc = encode_sort_sumset(a, b)
     assert _answer(enc) == brute_sumset_order(a, b)
+
+
+# Per-row reference encoders: one Vector per hyperplane, built the
+# direct way, as the encoders did before they filled one matrix.
+
+
+def _ref_ksum(n, k):
+    subsets = list(combinations(range(n), k))
+    rows = [Vector([1 if i in sub else 0 for i in range(n)]) for sub in subsets]
+    return rows, {"k": k, "subsets": subsets}
+
+
+def _ref_subset_sum(n):
+    rows = [Vector([(mask >> i) & 1 for i in range(n)]) for mask in range(1, 1 << n)]
+    return rows, {}
+
+
+def _ref_sort_sumset(na, nb):
+    pairs = [(i, j) for i in range(na) for j in range(nb)]
+    rows, compared = [], []
+    for p, q in combinations(range(len(pairs)), 2):
+        (i, j), (k, l) = pairs[p], pairs[q]
+        coords = [0] * (na + nb)
+        coords[i] += 1
+        coords[k] -= 1
+        coords[na + j] += 1
+        coords[na + l] -= 1
+        rows.append(Vector(coords))
+        compared.append([p, q])
+    return rows, {"pairs": pairs, "compared": compared, "na": na, "nb": nb}
+
+
+def _ref_kldt(n, k):
+    rows, tuples = [], []
+    for tup in permutations(range(n), k):
+        coords = [0] * (1 + n * k)
+        coords[0] = 1
+        for t, j in enumerate(tup):
+            coords[1 + t * n + j] = 1
+        rows.append(Vector(coords))
+        tuples.append(tup)
+    return rows, {"k": k, "n": n, "tuples": tuples}
+
+
+def _ref_triangles(n_vertices, edges):
+    index = {(min(u, v), max(u, v)): e for e, (u, v, _) in enumerate(edges)}
+    rows, triangles = [], []
+    for u, v, w in combinations(range(1, n_vertices + 1), 3):
+        ids = [index.get((u, v)), index.get((u, w)), index.get((v, w))]
+        if None in ids:
+            continue
+        rows.append(Vector([1 if e in ids else 0 for e in range(len(edges))]))
+        triangles.append((u, v, w))
+    return rows, {"triangles": triangles}
+
+
+def _assert_matches(enc, rows, meta, dim):
+    fam = enc.family
+    assert isinstance(fam, Family)
+    assert len(fam) == len(rows)
+    assert fam.dim == enc.dim == dim
+    assert fam.den == 1 and fam.rows.dtype == np.int64
+    assert fam.rows.tolist() == [list(v.ints) for v in rows]
+    assert [fam[i] for i in range(len(fam))] == rows
+    got = dict(enc.meta)
+    if "compared" in got:
+        got["compared"] = got["compared"].tolist()
+    assert got == meta
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 3), (7, 2), (5, 5)])
+def test_ksum_encoder_matches_reference(n, k):
+    values = list(range(1, n + 1))
+    _assert_matches(encode_ksum(values, k), *_ref_ksum(n, k), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_subset_sum_encoder_matches_reference(n):
+    values = list(range(-n, 0))
+    _assert_matches(encode_subset_sum(values), *_ref_subset_sum(n), n)
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 3), (2, 3), (3, 2), (4, 4)])
+def test_sumset_encoder_matches_reference(na, nb):
+    enc = encode_sort_sumset(list(range(na)), list(range(nb)))
+    _assert_matches(enc, *_ref_sort_sumset(na, nb), na + nb)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 1), (4, 2), (5, 3)])
+def test_kldt_encoder_matches_reference(n, k):
+    enc = encode_kldt([7] + [1] * k, list(range(n)))
+    _assert_matches(enc, *_ref_kldt(n, k), 1 + n * k)
+
+
+@pytest.mark.parametrize("n_vertices, seed", [(3, 0), (5, 1), (6, 2), (7, 3)])
+def test_triangle_encoder_matches_reference(n_vertices, seed):
+    _, edges = random_triangles_instance(SplitMix64(seed), n_vertices, planted=True)
+    enc = encode_zero_triangles(n_vertices, edges)
+    _assert_matches(enc, *_ref_triangles(n_vertices, edges), len(edges))
+    # a graph without triangles gives an empty family
+    empty = encode_zero_triangles(4, [(1, 2, 5), (3, 4, -5)])
+    _assert_matches(empty, [], {"triangles": []}, 2)
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached before the size cap")
+
+
+def test_caps_refuse_before_any_matrix_is_allocated(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started before the size cap")
+
+    monkeypatch.setattr(problems, "np", _NoArrays())
+    monkeypatch.setattr(problems, "combinations", no_enumeration)
+    monkeypatch.setattr(problems, "permutations", no_enumeration)
+    with pytest.raises(SizeCapError):
+        encode_subset_sum([1] * 17)
+    with pytest.raises(SizeCapError):
+        encode_ksum(list(range(75)), 3)
+    with pytest.raises(SizeCapError):
+        encode_sort_sumset(list(range(17)), list(range(16)))
+    with pytest.raises(SizeCapError):
+        encode_kldt([1, 1, 1, 1], list(range(30)))
+
+
+def _ordering_reference(enc, pattern):
+    """The sumset ordering read off with one Python comparison table, as
+    extract_answer did before it worked on one sign array."""
+    pairs = enc.meta["pairs"]
+    m = len(pairs)
+    cmp = [[None] * m for _ in range(m)]
+    for ident, (p, q) in enumerate(combinations(range(m), 2)):
+        s = pattern[ident]
+        cmp[p][q] = s
+        cmp[q][p] = s.flipped()
+    for p in range(m):
+        cmp[p][p] = Sign.ZERO
+    rank = [sum(1 for q in range(m) if cmp[p][q] is Sign.PLUS) for p in range(m)]
+    order = sorted(range(m), key=lambda p: rank[p])
+    groups = []
+    for p in order:
+        if groups and rank[groups[-1][0]] == rank[p]:
+            groups[-1].append(p)
+        else:
+            groups.append([p])
+    base = 0
+    for g in groups:
+        if rank[g[0]] != base:
+            raise InconsistentPatternError("ranks do not tile the order")
+        base += len(g)
+    for gi, g in enumerate(groups):
+        for p in g:
+            if any(cmp[p][q] is not Sign.ZERO for q in g):
+                raise InconsistentPatternError("grouped but not tied")
+            for hg in groups[gi + 1 :]:
+                if any(cmp[p][q] is not Sign.MINUS for q in hg):
+                    raise InconsistentPatternError("ordered inconsistently")
+    return [sorted((pairs[p][0] + 1, pairs[p][1] + 1) for p in g) for g in groups]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ordering_matches_reference_on_true_and_corrupt_patterns(seed):
+    rng = SplitMix64(seed)
+    na, nb = 1 + rng.below(3), 1 + rng.below(3)
+    a = [rng.randint(-2, 2) for _ in range(na)]
+    b = [rng.randint(-2, 2) for _ in range(nb)]
+    enc = encode_sort_sumset(a, b)
+    truth = ground_truth_pattern(enc.family, enc.hidden)
+    entries = dict(truth.items())
+    # flip, zero or keep a few entries; most corruptions are inconsistent
+    for _ in range(rng.below(3)):
+        if entries:
+            i = rng.below(len(entries))
+            entries[i] = Sign(rng.randint(-1, 1))
+    pattern = SignVector(entries)
+    try:
+        want = _ordering_reference(enc, pattern)
+    except InconsistentPatternError:
+        with pytest.raises(InconsistentPatternError):
+            extract_answer(enc, pattern)
+    else:
+        assert extract_answer(enc, pattern) == want

@@ -1,8 +1,18 @@
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ldt.geometry import Sign, Vector, format_rational, parse_rational, sign_of
+from ldt.geometry import (
+    Family,
+    Sign,
+    Vector,
+    format_rational,
+    ground_truth_pattern,
+    parse_rational,
+    sign_of,
+)
 from ldt.inference import build_sorted_sample, cell_from_sample, infer_set, structural_infer
 from ldt.lp import HomogeneousSystem, feasible
 from ldt.oracle import HiddenPointOracle
@@ -108,8 +118,9 @@ def test_infer_set_sound_and_complete(secret, data):
     t_rows = data.draw(
         st.lists(st.lists(small_ints, min_size=dim, max_size=dim), min_size=1, max_size=5)
     )
-    targets = [(100 + i, Vector(r)) for i, r in enumerate(t_rows)]
-    outcome = infer_set(cell, targets)
+    family = Family.of([v for _, v in members] + [Vector(r) for r in t_rows])
+    targets = [(n_members + i, family[n_members + i]) for i in range(len(t_rows))]
+    outcome = infer_set(cell, [i for i, _ in targets], family)
     from ldt.inference import infer_sign
 
     for ident, h in targets:
@@ -158,3 +169,68 @@ def test_ceil_mul_log2_exact(p, r, q):
     assert 2 ** (d * r) * den**p >= num**p
     if d > 0:
         assert 2 ** ((d - 1) * r) * den**p < num**p
+
+
+HUGE = (1 << 62, (1 << 63) + 5, 1 << 80)
+
+
+@st.composite
+def degenerate_families(draw):
+    """Rows of dimension 2 or 3 with repeats, negated repeats, zero rows,
+    collinear rows and coordinates of 2^62 and past 2^63, optionally
+    divided by mixed denominators."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    kinds = ["fresh", "fresh", "repeat", "negated", "zero", "multiple"]
+    if draw(st.booleans()):
+        kinds.append("huge")
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(min_value=6, max_value=48))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh" or not rows:
+            rows.append(draw(st.lists(small_ints, min_size=dim, max_size=dim)))
+        elif kind == "zero":
+            rows.append([0] * dim)
+        elif kind == "huge":
+            row = draw(st.lists(small_ints, min_size=dim, max_size=dim))
+            row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(HUGE)) * draw(
+                st.sampled_from([1, -1])
+            )
+            rows.append(row)
+        else:
+            base = draw(st.sampled_from(rows))
+            factor = {"repeat": 1, "negated": -1}.get(kind) or draw(
+                st.sampled_from([2, 3, -2])
+            )
+            rows.append([factor * a for a in base])
+    dens = [1]
+    if draw(st.booleans()):
+        dens = [draw(st.sampled_from([1, 2, 3, 6, 7])) for _ in rows]
+    return [
+        Vector([Fraction(a, dens[i % len(dens)]) for a in row])
+        for i, row in enumerate(rows)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degenerate_families(),
+    st.data(),
+    st.sampled_from([Fraction(1, 128), Fraction(1, 16), Fraction(1, 4), Fraction(2)]),
+    st.integers(min_value=0, max_value=5),
+)
+def test_whole_solves_on_degenerate_families(family, data, constant, seed):
+    dim = family[0].dim
+    x = Vector(data.draw(st.lists(rationals, min_size=dim, max_size=dim)))
+    if data.draw(st.booleans()):
+        # put the point on one of the hyperplanes, so ZERO signs occur
+        h = data.draw(st.sampled_from(family)).coords
+        x = Vector([h[1], -h[0]] + [0] * (dim - 2))
+    config = SolveConfig(seed=seed, sample_constant=constant)
+    report = solve(family, HiddenPointOracle(x), config)
+    assert report.pattern == ground_truth_pattern(family, x)
+
+    # the same rows given as one integer matrix over a common denominator
+    den = lcm(*(c.denominator for v in family for c in v.coords))
+    rows = np.array([[int(c * den) for c in v.coords] for v in family], dtype=object)
+    same = solve(Family(rows, den), HiddenPointOracle(x), config)
+    assert same == report

@@ -6,9 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from ldt.geometry import Sign, Vector, ground_truth_pattern
+from ldt.geometry import Family, Sign, Vector, ground_truth_pattern
+from ldt.inference import build_sorted_sample, cell_from_sample, infer_set
 from ldt.oracle import HiddenPointOracle
-from ldt.problems import encode_ksum
+from ldt.prng import SplitMix64
+from ldt.problems import (
+    encode_ksum,
+    encode_subset_sum,
+    random_ksum_instance,
+    random_subset_sum_instance,
+)
 from ldt.solver import SolveConfig, SolverStalledError, ceil_mul_log2, decide, solve
 
 
@@ -157,3 +164,51 @@ def test_contradictory_oracle_raises_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "typed error"
+
+
+def test_coordinates_past_int64_are_decided_exactly():
+    # a row with a coordinate of 2^63 or more cannot be held in int64;
+    # the family matrix then takes Python integers instead
+    big = 1 << 63
+    secret = Vector([2, 1])
+    members = [(0, Vector([1, 0])), (1, Vector([0, 1]))]
+    family = Family.of([v for _, v in members] + [Vector([big, 1]), Vector([1, -big])])
+    assert family.rows.dtype == object
+    sample = build_sorted_sample(members, HiddenPointOracle(secret))
+    outcome = infer_set(cell_from_sample(sample, 2), [2, 3], family)
+    truth = ground_truth_pattern(family, secret)
+    assert outcome.inferred[2] is truth[2] is Sign.PLUS
+    for ident, sign in outcome.inferred.items():
+        assert sign is truth[ident]
+
+    # a whole solve over enough rows for an inference round, with huge
+    # rows among the sample members
+    rows = [Vector([a, b]) for a in range(-4, 5) for b in range(-4, 5) if a or b]
+    rows += [Vector([big, 1]), Vector([big + 7, -big]), Vector([-3, big * big])]
+    for seed in range(4):
+        x = Vector([Fraction(5, 3), Fraction(-7, 2)])
+        report = solve(rows, HiddenPointOracle(x), SolveConfig(seed, Fraction(1, 8)))
+        assert report.rounds
+        assert report.pattern == ground_truth_pattern(rows, x)
+
+
+def test_solve_materialises_only_the_rows_it_queries(monkeypatch):
+    # a Vector is built for a sample member or a direct label, never for
+    # every row of the family
+    calls = 0
+    getitem = Family.__getitem__
+
+    def counting(self, index):
+        nonlocal calls
+        calls += 1
+        return getitem(self, index)
+
+    monkeypatch.setattr(Family, "__getitem__", counting)
+    for enc in (
+        encode_ksum(random_ksum_instance(SplitMix64(3), 32, 3, planted=True), 3),
+        encode_subset_sum(random_subset_sum_instance(SplitMix64(5), 14, planted=True)),
+    ):
+        calls = 0
+        report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=1))
+        assert report.rounds
+        assert calls <= report.label_queries
