@@ -329,7 +329,7 @@ class SignVector:
     which makes patterns directly comparable across runs.
     """
 
-    __slots__ = ("_ids", "_signs", "_dense")
+    __slots__ = ("_ids", "_signs", "_entries")
 
     def __init__(self, entries: Mapping[int, Sign]) -> None:
         items = sorted(entries.items())
@@ -337,6 +337,7 @@ class SignVector:
             np.array([i for i, _ in items], dtype=np.int64),
             np.array([int(s) for _, s in items], dtype=np.int8),
         )
+        object.__setattr__(self, "_entries", dict(items))
 
     @classmethod
     def from_arrays(cls, ids: Sequence[int], signs: Sequence[int]) -> "SignVector":
@@ -361,32 +362,26 @@ class SignVector:
         signs.flags.writeable = False
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_signs", signs)
-        # identifiers exactly 0..len-1 index the sign array directly
-        dense = not ids.size or (ids[0] == 0 and ids[-1] == ids.size - 1)
-        object.__setattr__(self, "_dense", bool(dense))
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SignVector is immutable")
 
-    def _position(self, ident: int) -> int | None:
-        n = self._ids.size
-        if self._dense:
-            return ident if 0 <= ident < n else None
-        p = int(np.searchsorted(self._ids, ident))
-        return p if p < n and self._ids[p] == ident else None
+    def _lookup(self) -> dict[int, Sign]:
+        """Identifier to Sign, built on the first lookup by identifier."""
+        if self._entries is None:
+            signs = [_SIGNS[s] for s in (self._signs + 1).tolist()]
+            object.__setattr__(self, "_entries", dict(zip(self._ids.tolist(), signs)))
+        return self._entries
 
     def __getitem__(self, ident: int) -> Sign:
-        p = self._position(ident)
-        if p is None:
-            raise KeyError(ident)
-        return _SIGNS[self._signs[p] + 1]
+        return self._lookup()[ident]
 
     def get(self, ident: int, default: Sign | None = None) -> Sign | None:
-        p = self._position(ident)
-        return default if p is None else _SIGNS[self._signs[p] + 1]
+        return self._lookup().get(ident, default)
 
     def __contains__(self, ident: int) -> bool:
-        return self._position(ident) is not None
+        return ident in self._lookup()
 
     def __len__(self) -> int:
         return self._ids.size
@@ -418,7 +413,7 @@ class SignVector:
         return self._ids.tolist()
 
     def items(self) -> list[tuple[int, Sign]]:
-        return [(i, _SIGNS[s + 1]) for i, s in zip(self._ids.tolist(), self._signs.tolist())]
+        return list(self._lookup().items())
 
     def contains_zero(self) -> bool:
         return not self._signs.all()
