@@ -18,9 +18,13 @@ once, cheapest proof first:
     in one batched integer solve, and only rows no support proves run
     the exact cone-membership solve, capped in high dimension.
 
-Floating point only ever proposes.  Every accepted sign carries an
-exact certificate, so a wrong answer is impossible; the only cost of a
-missed proof is a hyperplane left undetermined.  All exact algebra is
+Floating point only ever proposes, and numpy does all of it: a
+log-barrier Newton method (linprog) proposes the pool's max-margin
+point and a Lawson-Hanson NNLS (_nnls) proposes certificate supports.
+Every accepted sign carries an exact certificate, so a wrong answer is
+impossible; the only cost of a missed proof is a hyperplane left
+undetermined.  Pool points are verified too, so a poor proposal only
+weakens the screen.  All exact algebra is
 fraction-free integer arithmetic from intlin: the kernel basis of the
 equalities, the batched support solves that verify least-squares
 proposals, and the last-resort cone-membership simplex.
@@ -39,8 +43,6 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.optimize import nnls as scipy_nnls
 
 from .geometry import Family, Sign, SignVector
 from .inference import (
@@ -55,7 +57,6 @@ from .intlin import (
     kernel_basis,
     nonnegative_solutions,
 )
-from .prng import SplitMix64
 
 _POOL_TARGET = 64
 _ANCHOR_TRIES = 48
@@ -63,7 +64,8 @@ _PAIR_ANCHORS = 8
 _FAST_ANCHORS = 40
 _UNIT_CAP = 12
 _EXACT_LP_DIM = 16
-_COORD_CAP = 1 << 40
+_NEWTON_CAP = 200
+_BARRIER_GROWTH = 100.0
 
 
 def _split_blocks(sample) -> tuple[list[list[int]], list[Sign]]:
@@ -248,18 +250,83 @@ def _collect_anchors(cc: _ChainCell) -> None:
     cc.anchors = merged
 
 
-def _uniform01(rng: SplitMix64) -> float:
-    return rng.next_u64() / 2.0 ** 64
+def linprog(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """Max-margin point of the open cone {y : A y > 0}, A with unit rows.
+
+    Maximizes t over A y >= t, |y_j| <= 1 by a log-barrier Newton
+    method from the strictly feasible start y = 0, t = -1: each step is
+    the longest one that keeps every slack positive, backtracked until
+    the barrier function drops, and the barrier weight grows a hundred
+    fold once the Newton decrement is below one.  It stops when the
+    duality gap bound falls below t, so t is then about half the optimum
+    or more; a singular Newton system or a vanishing step ends it early
+    with the last iterate.  Returns (y, t), y strictly inside the box;
+    t <= 0 means no interior point was found.
+    """
+    m, n = A.shape
+    G = np.hstack([A, -np.ones((m, 1))])
+    nu = m + 2 * n  # the barrier's logarithm count bounds the gap
+    z = np.zeros(n + 1)
+    z[-1] = -1.0
+    tau = 10.0 * nu
+    diag = np.arange(n)
+
+    def barrier(z: np.ndarray) -> float:
+        s, y = G @ z, z[:n]
+        if s.min() <= 0 or np.abs(y).max(initial=0) >= 1:
+            return np.inf
+        logs = np.log(s).sum() + np.log1p(-y).sum() + np.log1p(y).sum()
+        return float(-tau * z[-1] - logs)
+
+    for _ in range(_NEWTON_CAP):
+        s, y = G @ z, z[:n]
+        inv = 1.0 / s
+        g = -(inv @ G)
+        g[:n] += 1.0 / (1.0 - y) - 1.0 / (1.0 + y)
+        g[-1] -= tau
+        Gs = G * inv[:, None]
+        H = Gs.T @ Gs
+        H[diag, diag] += 1.0 / (1.0 - y) ** 2 + 1.0 / (1.0 + y) ** 2
+        try:
+            d = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            break
+        dec = float(-g @ d)
+        if not np.isfinite(dec):
+            break
+        if dec < 1.0:
+            if z[-1] > 0 and nu <= tau * z[-1]:
+                break
+            tau *= _BARRIER_GROWTH
+            continue
+        ds, dy = G @ d, d[:n]
+        room = np.concatenate(
+            [
+                s[ds < 0] / -ds[ds < 0],
+                (1.0 - y[dy > 0]) / dy[dy > 0],
+                (1.0 + y[dy < 0]) / -dy[dy < 0],
+            ]
+        )
+        step = min(1.0, 0.99 * float(room.min(initial=np.inf)))
+        f0 = barrier(z)
+        while barrier(z + step * d) > f0 - 0.01 * step * dec:
+            step *= 0.5
+            if step < 1e-12:
+                return z[:n], float(z[-1])
+        z = z + step * d
+    return z[:n], float(z[-1])
 
 
 def _build_pool(cc: _ChainCell) -> np.ndarray:
     """Exact integer points interior to the reduced cell, as columns.
 
-    A max-margin float program proposes, the chain rows verify; a point
-    joins the pool only with every strict product positive.  With no
-    chain rows the cell is the whole reduced space and signed units
-    suffice.  An empty result is allowed: the caller then simply has
-    nothing to screen with and leaves the round to direct labels.
+    A max-margin float program (linprog) proposes one point, the chain
+    rows verify; a point joins the pool only with every strict product
+    positive.  Unit perturbations of that point, boosted, screen out the
+    rows that vanish at it.  With no chain rows the cell is the whole
+    reduced space and signed units suffice.  An empty result is allowed:
+    the caller then simply has nothing to screen with and leaves the
+    round to direct labels.
     """
     nr = cc.n_red
     if not cc.chain:
@@ -268,81 +335,26 @@ def _build_pool(cc: _ChainCell) -> np.ndarray:
     C = cc.gen_mat()
     cmax = max(1, int(np.abs(C).max()))
     Cf = C.astype(np.float64)
-    m = C.shape[0]
-    cols: list[np.ndarray] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def admit(yf: np.ndarray) -> None:
-        peak = float(np.max(np.abs(yf)))
-        if not np.isfinite(peak):
-            return
-        scale = 2.0 ** 20
-        if peak * scale > _COORD_CAP:
-            scale = max(1.0, _COORD_CAP / (peak + 1.0))
-        yi = np.rint(yf * scale)
-        if not np.isfinite(yi).all():
-            return
-        yi = yi.astype(np.int64)
-        top = int(np.abs(yi).max(initial=0))
-        if top == 0 or top * cmax * nr >= GEMM_GUARD:
-            return
-        if not (C @ yi > 0).all():
-            return
-        key = tuple(int(x) for x in yi)
-        if key not in seen:
-            seen.add(key)
-            cols.append(yi)
-
+    empty = np.zeros((nr, 0), dtype=np.int64)
     # maximize the worst row margin, in units of each row's norm; the
     # optimum sits well off every facet, so integer rounding keeps all
     # strict products positive even for very thin cells
-    wrow = np.linalg.norm(Cf, axis=1)
-    a_ub = np.hstack([-Cf, wrow[:, None]])
-    b_ub = np.zeros(m)
-    bounds = [(-1.0, 1.0)] * nr + [(0.0, None)]
-    objective = np.zeros(nr + 1)
-    objective[-1] = -1.0
-    res = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    delta = float(res.x[-1]) if res.status == 0 and res.x is not None else 0.0
-    if delta > 1e-12:
-        admit(res.x[:nr])
-        # diverse interior points: random objectives over the shrunken
-        # cell C y >= (delta/2) * wrow keep every point clear of facets
-        b_half = -0.5 * delta * wrow
-        rng = SplitMix64(0x5EED_CE11)
-        a_in = np.hstack([-Cf, np.zeros((m, 1))])
-        while len(cols) < _POOL_TARGET // 2:
-            c_rand = np.array(
-                [2.0 * _uniform01(rng) - 1.0 for _ in range(nr)] + [0.0]
-            )
-            r2 = linprog(
-                c_rand, A_ub=a_in, b_ub=b_half, bounds=bounds, method="highs"
-            )
-            if r2.status != 0 or r2.x is None:
-                break
-            before = len(cols)
-            admit(r2.x[:nr])
-            if len(cols) == before:
-                break
-
-    if not cols:
-        return np.zeros((nr, 0), dtype=np.int64)
-
-    seed = cols[0]
-    if int(np.abs(seed).max(initial=0)) * 4096 * cmax * nr < GEMM_GUARD:
-        boosted = seed * 4096
-        for c in range(nr):
-            if len(cols) >= _POOL_TARGET:
-                break
-            for delta in (1, -1):
-                cand = boosted.copy()
-                cand[c] += delta
-                if (C @ cand > 0).all():
-                    key = tuple(int(x) for x in cand)
-                    if key not in seen:
-                        seen.add(key)
-                        cols.append(cand)
-    return np.stack(cols[:_POOL_TARGET], axis=1)
+    y, margin = linprog(Cf / np.linalg.norm(Cf, axis=1)[:, None])
+    if margin <= 1e-12:
+        return empty
+    seed = np.rint(y * 2.0 ** 20).astype(np.int64)  # |y_j| < 1
+    top = int(np.abs(seed).max(initial=0))
+    if top == 0 or top * cmax * nr >= GEMM_GUARD or not (C @ seed > 0).all():
+        return empty
+    if top * 4096 * cmax * nr >= GEMM_GUARD:
+        return seed[:, None]
+    # 4096 seed +- e_c for every coordinate c, in that order
+    nudged = np.repeat(seed[:, None] * 4096, 2 * nr, axis=1)
+    coord = np.arange(nr)
+    nudged[coord, 2 * coord] += 1
+    nudged[coord, 2 * coord + 1] -= 1
+    inside = (C @ nudged > 0).all(axis=0)
+    return np.hstack([seed[:, None], nudged[:, inside]])[:, :_POOL_TARGET]
 
 
 def _decompose_units(g: Sequence[int], cc: _ChainCell) -> bool:
@@ -425,13 +437,66 @@ def _anchored_cert(target: list[int], cc: _ChainCell) -> bool:
     return False
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nonnegative least squares, proposal quality only."""
-    try:
-        return scipy_nnls(A, b)
-    except RuntimeError:
-        # iteration cap; whatever it had is still a usable proposal
-        return np.zeros(A.shape[1]), float(np.linalg.norm(b))
+def _nnls(
+    A: np.ndarray, b: np.ndarray, maxiter: int | None = None
+) -> tuple[np.ndarray, float]:
+    """Nonnegative least squares, proposal quality only: Lawson and
+    Hanson's active-set method.
+
+    Returns (x, ||A x - b||).  Every pass of the main loop and every
+    step of the inner one counts an iteration; past maxiter of them
+    (three per column by default) it gives up with the zero proposal
+    and ||b||.
+    """
+    m, n = A.shape
+    maxiter = 3 * n if maxiter is None else maxiter
+    tol = (
+        10 * max(m, n) * np.finfo(np.float64).eps
+        * max(1.0, float(np.abs(A).max(initial=0)))
+        * max(1.0, float(np.abs(b).max(initial=0)))
+    )
+    give_up = np.zeros(n), float(np.linalg.norm(b))
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+
+    def fit() -> np.ndarray:
+        """Unconstrained least squares on the passive columns."""
+        s = np.zeros(n)
+        idx = np.flatnonzero(passive)
+        s[idx] = np.linalg.lstsq(A[:, idx], b, rcond=None)[0]
+        return s
+
+    w = A.T @ b
+    iterations = 0
+    while n:
+        iterations += 1
+        if iterations > maxiter:
+            return give_up
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            break
+        passive[j] = True
+        s = fit()
+        if s[j] <= tol:
+            # rounding made column j look useful; try the next one
+            passive[j] = False
+            w[j] = -np.inf
+            continue
+        while (s[passive] <= 0).any():
+            iterations += 1
+            if iterations > maxiter:
+                return give_up
+            # walk from x towards s until the first coefficient hits zero
+            neg = passive & (s <= 0)
+            alpha = float(np.min(x[neg] / (x[neg] - s[neg])))
+            x += alpha * (s - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+            s = fit()
+        x = s
+        w = A.T @ (b - A @ x)
+    return x, float(np.linalg.norm(A @ x - b))
 
 
 def _nnls_support(cc: _ChainCell, target: np.ndarray) -> list[int] | None:

@@ -74,6 +74,9 @@ class HiddenPointOracle:
         self._family = (
             frozenset(strict_family) if strict_family is not None else None
         )
+        # <h, x> of every integer vector queried so far, keyed by id(h);
+        # the entry holds h, so no other live object can share the key
+        self._values: dict[int, tuple[Vector, int]] = {}
 
     @property
     def dim(self) -> int:
@@ -83,16 +86,23 @@ class HiddenPointOracle:
         if self._family is not None and h not in self._family:
             raise StrictModeViolation(f"{kind} query outside declared family: {h!r}")
 
+    def _value(self, h: Vector) -> int:
+        """<h, x> for an integer vector h, computed once per vector."""
+        hit = self._values.get(id(h))
+        if hit is not None:
+            return hit[1]
+        total = 0
+        for u, v in zip(h.ints, self._secret_ints):
+            if u and v:
+                total += u * v
+        self._values[id(h)] = (h, total)
+        return total
+
     def _sign_at(self, h: Vector) -> Sign:
         if h.dim != self.dim:
             raise ValueError(f"query dimension {h.dim} != oracle dimension {self.dim}")
-        hi = h.ints
-        if hi is not None:
-            total = 0
-            for u, v in zip(hi, self._secret_ints):
-                if u and v:
-                    total += u * v
-            return sign_of(total)
+        if h.ints is not None:
+            return sign_of(self._value(h))
         acc = Fraction(0)
         for u, v in zip(h.coords, self._secret_ints):
             if u and v:
@@ -126,11 +136,7 @@ class HiddenPointOracle:
                 raise ValueError(
                     f"query dimensions {len(a)}, {len(b)} != oracle dimension {self.dim}"
                 )
-            total = 0
-            for u, v, x in zip(a, b, self._secret_ints):
-                if u != v:
-                    total += (u - v) * x
-            answer = sign_of(total)
+            answer = sign_of(self._value(h1) - self._value(h2))
         else:
             answer = self._sign_at(h1 - h2)
         self.ledger.comparison_count += 1

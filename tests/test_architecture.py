@@ -6,6 +6,9 @@ oracle answers only.  A textual import check keeps the boundary honest.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ldt"
@@ -58,3 +61,44 @@ def test_lab_is_independent_of_the_batch_engine():
         if isinstance(node, ast.ImportFrom) and node.module:
             assert "batch" not in node.module
     assert "fm_feasible" in text  # its own elimination, not the simplex
+
+
+NO_SCIPY_RUN = """
+import sys
+from pathlib import Path
+
+import ldt
+from ldt import cli
+from ldt.oracle import HiddenPointOracle
+from ldt.prng import SplitMix64
+from ldt.problems import encode_ksum, random_ksum_instance
+from ldt.solver import SolveConfig, solve
+
+values = random_ksum_instance(SplitMix64(4), 16, 3, planted=True)
+enc = encode_ksum(values, 3)
+report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=4))
+assert report.rounds, "the solve ran no inference round"
+inst = Path(sys.argv[1])
+inst.write_text(" ".join(map(str, values)) + "\\n")
+assert cli.main(["solve", "ksum", "--input", str(inst), "--k", "3"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_solve_path_never_imports_scipy(tmp_path):
+    # floating point only proposes, and numpy does all of it
+    for path in SRC.glob("*.py"):
+        assert "scipy" not in path.read_text(), path.name
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path / "inst.txt")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,12 +1,15 @@
 """The batched inference engine must agree with the one-at-a-time
 simplex route on every hyperplane: same inferred signs, same
-undetermined set, across random cells."""
+undetermined set, across random cells.  Its numpy proposers (the pool
+program and the NNLS) are checked against scipy where it is installed,
+and every pool point must be exactly interior."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ldt.geometry import Family, Sign, Vector
+from ldt.geometry import Family, Sign, Vector, ground_truth_pattern
 from ldt.inference import (
     InconsistentSampleError,
     SortedSample,
@@ -18,7 +21,18 @@ from ldt.inference import (
 from ldt import batch
 from ldt.batch import infer_set_batch
 from ldt.oracle import HiddenPointOracle
-from ldt.problems import encode_ksum, random_ksum_instance
+from ldt.problems import (
+    encode_kldt,
+    encode_ksum,
+    encode_sort_sumset,
+    encode_subset_sum,
+    encode_zero_triangles,
+    random_kldt_instance,
+    random_ksum_instance,
+    random_subset_sum_instance,
+    random_sumset_instance,
+    random_triangles_instance,
+)
 from ldt.intlin import generator_matrix
 from ldt.prng import SplitMix64
 from ldt.solver import SolveConfig, solve
@@ -236,3 +250,162 @@ def test_exact_memberships_spend_the_budget_only_on_unproved_rows(monkeypatch):
                 assert verdict is member
             if t in calls:
                 assert verdict is member
+
+
+def _assert_nnls_like_scipy(A, b):
+    scipy_nnls = pytest.importorskip("scipy.optimize").nnls
+    x, resid = batch._nnls(A, b)
+    _, expected = scipy_nnls(A, b)
+    scale = max(1.0, float(np.linalg.norm(b)))
+    assert (x >= 0).all()
+    assert abs(resid - float(np.linalg.norm(A @ x - b))) <= 1e-12 * scale
+    assert abs(resid - expected) <= 1e-9 * scale
+
+
+def test_nnls_matches_scipy_on_random_problems():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m, n = int(rng.integers(1, 10)), int(rng.integers(1, 40))
+        A = rng.integers(-4, 5, size=(m, n)).astype(float)
+        b = rng.integers(-6, 7, size=m).astype(float)
+        _assert_nnls_like_scipy(A, b)
+        # an exact nonnegative combination of a few columns
+        w = np.where(rng.random(n) < 0.2, rng.integers(1, 4, size=n), 0)
+        _assert_nnls_like_scipy(A, A @ w.astype(float))
+
+
+def test_nnls_matches_scipy_on_a_solved_ksum_cell(monkeypatch):
+    calls = []
+    nnls = batch._nnls
+
+    def recording_nnls(A, b):
+        calls.append((A.copy(), b.copy()))
+        return nnls(A, b)
+
+    monkeypatch.setattr(batch, "_nnls", recording_nnls)
+    enc = encode_ksum(random_ksum_instance(SplitMix64(4), 16, 3, planted=True), 3)
+    solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=4))
+    monkeypatch.undo()
+    assert len(calls) > 5
+    for A, b in calls:
+        _assert_nnls_like_scipy(A, b)
+
+
+def test_nnls_gives_up_past_the_iteration_cap():
+    # a fit that moves off x = 0 needs a second pass of the main loop,
+    # so one iteration gives up with the zero proposal and ||b||
+    rng = np.random.default_rng(5)
+    capped = 0
+    for _ in range(200):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 20))
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = rng.integers(-5, 6, size=m).astype(float)
+        x, resid = batch._nnls(A, b)
+        x1, resid1 = batch._nnls(A, b, maxiter=1)
+        assert not x1.any() and resid1 == float(np.linalg.norm(b))
+        if x.any():
+            capped += 1
+        else:
+            assert resid == resid1
+    assert 0 < capped < 200
+
+
+def _exact_interior(C, Y):
+    """Every column of Y strictly inside every row of C, in exact integers."""
+    products = np.array(C, dtype=object) @ np.array(Y, dtype=object)
+    return all(int(v) > 0 for v in products.ravel())
+
+
+POOL_CASES = {
+    "ksum": (lambda r: encode_ksum(random_ksum_instance(r, 16, 3, True), 3), 2),
+    "ksum-small-sample": (
+        lambda r: encode_ksum(random_ksum_instance(r, 16, 3, True), 3),
+        Fraction(1, 2),
+    ),
+    "subset-sum": (
+        lambda r: encode_subset_sum(random_subset_sum_instance(r, 10, True)),
+        Fraction(1, 2),
+    ),
+    "sumset": (lambda r: encode_sort_sumset(*random_sumset_instance(r, 6, 6)), 2),
+    "kldt": (lambda r: encode_kldt(*random_kldt_instance(r, 9, 3, True)), Fraction(1, 2)),
+    "triangles": (
+        lambda r: encode_zero_triangles(*random_triangles_instance(r, 24, True)),
+        Fraction(1, 8),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POOL_CASES))
+def test_pool_points_are_exactly_interior_on_solved_cells(kind, monkeypatch):
+    make, sample_constant = POOL_CASES[kind]
+    cells = []
+    build = batch._build_pool
+
+    def recording_pool(cc):
+        Y = build(cc)
+        cells.append((cc.gen_mat(), Y))
+        return Y
+
+    monkeypatch.setattr(batch, "_build_pool", recording_pool)
+    enc = make(SplitMix64(3))
+    report = solve(
+        enc.family,
+        HiddenPointOracle(enc.hidden),
+        SolveConfig(seed=3, sample_constant=Fraction(sample_constant)),
+    )
+    assert cells
+    for C, Y in cells:
+        assert Y.shape[1] >= 1
+        assert _exact_interior(C, Y)
+    truth = ground_truth_pattern(enc.family, enc.hidden)
+    assert all(report.pattern[i] is truth[i] for i in range(len(enc.family)))
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        [(1 << 30, -(1 << 30) + 1), (-(1 << 30) + 1, 1 << 30)],
+        [
+            (1 << 30, -(1 << 30) + 1, 0),
+            (-(1 << 30) + 1, 1 << 30, 0),
+            (0, 1 << 30, -(1 << 30) + 1),
+            (0, -(1 << 30) + 1, 1 << 30),
+        ],
+    ],
+)
+def test_pool_of_a_thin_cell_near_two_to_the_thirty(chain):
+    # each pair of rows leaves a wedge of relative width 2^-30
+    nr = len(chain[0])
+    cc = batch._ChainCell(nr, nr, None, [], 0, chain)
+    Y = batch._build_pool(cc)
+    assert Y.shape[1] >= 1
+    assert _exact_interior(chain, Y)
+
+
+def test_pool_program_margin_is_near_optimal():
+    scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = SplitMix64(29)
+    checked = 0
+    for _ in range(30):
+        dim = 2 + rng.below(3)
+        cell, _, _ = _random_cell(rng, dim, 6)
+        members = Family.of(v for _, v in cell.sample.members)
+        cc = batch._chain_cell(cell.sample, members.rows)
+        if not cc.chain:
+            continue
+        C = cc.gen_mat().astype(float)
+        A = C / np.linalg.norm(C, axis=1)[:, None]
+        y, margin = batch.linprog(A)
+        m, nr = A.shape
+        best = scipy_linprog(
+            np.r_[np.zeros(nr), -1.0],
+            A_ub=np.hstack([-A, np.ones((m, 1))]),
+            b_ub=np.zeros(m),
+            bounds=[(-1, 1)] * nr + [(None, None)],
+            method="highs",
+        ).x[-1]
+        assert np.abs(y).max() < 1
+        assert (A @ y >= margin).all()
+        assert 0.5 * best <= margin <= best + 1e-9
+        checked += 1
+    assert checked > 10

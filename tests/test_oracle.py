@@ -102,3 +102,31 @@ def test_comparison_dimension_mismatch(h1, h2):
     with pytest.raises(ValueError):
         oracle.comparison_query(h1, h2)
     assert oracle.ledger.snapshot() == (0, 0)
+
+
+def test_repeated_queries_reuse_each_vectors_value(monkeypatch):
+    # every answer still matches a fresh oracle, and <h, x> is computed
+    # once per integer vector however often it is queried
+    secret = Vector([3, -7, 2, 5])
+    vecs = [Vector([i % 3 - 1, i % 2, (i * 5) % 4 - 2, i % 5 - 2]) for i in range(12)]
+    oracle = HiddenPointOracle(secret)
+    computed = []
+    value = HiddenPointOracle._value
+
+    def counting_value(self, h):
+        if self is oracle and id(h) not in self._values:
+            computed.append(h)
+        return value(self, h)
+
+    monkeypatch.setattr(HiddenPointOracle, "_value", counting_value)
+    for _ in range(3):
+        for a in vecs:
+            assert oracle.label_query(a) is HiddenPointOracle(secret).label_query(a)
+            for b in vecs:
+                assert oracle.comparison_query(a, b) is HiddenPointOracle(
+                    secret
+                ).comparison_query(a, b)
+    assert len(computed) == len(vecs)
+    assert oracle.ledger.snapshot() == (36, 3 * 144)
+    with pytest.raises(ValueError, match="oracle dimension"):
+        oracle.comparison_query(vecs[0], Vector([1, 2]))
