@@ -66,6 +66,7 @@ _UNIT_CAP = 12
 _EXACT_LP_DIM = 16
 _NEWTON_CAP = 200
 _BARRIER_GROWTH = 100.0
+_NNLS_ITERS_PER_COLUMN = 3
 
 
 def _split_blocks(sample) -> tuple[list[list[int]], list[Sign]]:
@@ -337,8 +338,8 @@ def _build_pool(cc: _ChainCell) -> np.ndarray:
     Cf = C.astype(np.float64)
     empty = np.zeros((nr, 0), dtype=np.int64)
     # maximize the worst row margin, in units of each row's norm; the
-    # optimum sits well off every facet, so integer rounding keeps all
-    # strict products positive even for very thin cells
+    # point is rounded at the fixed scale 2^20, so a thin cell whose
+    # interior needs finer integers gets an empty pool
     y, margin = linprog(Cf / np.linalg.norm(Cf, axis=1)[:, None])
     if margin <= 1e-12:
         return empty
@@ -437,19 +438,17 @@ def _anchored_cert(target: list[int], cc: _ChainCell) -> bool:
     return False
 
 
-def _nnls(
-    A: np.ndarray, b: np.ndarray, maxiter: int | None = None
-) -> tuple[np.ndarray, float]:
+def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Nonnegative least squares, proposal quality only: Lawson and
     Hanson's active-set method.
 
     Returns (x, ||A x - b||).  Every pass of the main loop and every
-    step of the inner one counts an iteration; past maxiter of them
-    (three per column by default) it gives up with the zero proposal
-    and ||b||.
+    step of the inner one counts an iteration; past
+    _NNLS_ITERS_PER_COLUMN of them per column it gives up with the zero
+    proposal and ||b||.
     """
     m, n = A.shape
-    maxiter = 3 * n if maxiter is None else maxiter
+    maxiter = _NNLS_ITERS_PER_COLUMN * n
     tol = (
         10 * max(m, n) * np.finfo(np.float64).eps
         * max(1.0, float(np.abs(A).max(initial=0)))

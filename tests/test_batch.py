@@ -291,23 +291,30 @@ def test_nnls_matches_scipy_on_a_solved_ksum_cell(monkeypatch):
         _assert_nnls_like_scipy(A, b)
 
 
-def test_nnls_gives_up_past_the_iteration_cap():
-    # a fit that moves off x = 0 needs a second pass of the main loop,
-    # so one iteration gives up with the zero proposal and ||b||
+def test_nnls_gives_up_past_the_iteration_cap(monkeypatch):
+    # below the cap the fit is the uncapped one; past it, the zero
+    # proposal and ||b||.  With no iteration allowed every fit gives up;
+    # one per column caps the fits that need more passes than columns
     rng = np.random.default_rng(5)
-    capped = 0
+    capped = finished = 0
     for _ in range(200):
         m, n = int(rng.integers(2, 8)), int(rng.integers(2, 20))
         A = rng.integers(-3, 4, size=(m, n)).astype(float)
         b = rng.integers(-5, 6, size=m).astype(float)
         x, resid = batch._nnls(A, b)
-        x1, resid1 = batch._nnls(A, b, maxiter=1)
-        assert not x1.any() and resid1 == float(np.linalg.norm(b))
-        if x.any():
-            capped += 1
-        else:
-            assert resid == resid1
-    assert 0 < capped < 200
+        for per_column in (0, 1):
+            monkeypatch.setattr(batch, "_NNLS_ITERS_PER_COLUMN", per_column)
+            xc, rc = batch._nnls(A, b)
+            monkeypatch.undo()
+            gave_up = not xc.any() and rc == float(np.linalg.norm(b))
+            if per_column == 0:
+                assert gave_up
+            elif gave_up and x.any():
+                capped += 1
+            else:
+                assert np.array_equal(xc, x) and rc == resid
+                finished += 1
+    assert capped > 0 and finished > 0
 
 
 def _exact_interior(C, Y):
