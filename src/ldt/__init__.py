@@ -26,9 +26,8 @@ from .inference import (
     cell_from_sample,
     infer_set,
     infer_sign,
-    structural_infer,
 )
-from .lp import HomogeneousSystem, cone_member, feasible, interior_witness
+from .lp import HomogeneousSystem, feasible, interior_witness
 from .oracle import HiddenPointOracle, QueryLedger, StrictModeViolation
 from .problems import (
     Encoding,
@@ -69,7 +68,6 @@ __all__ = [
     "Vector",
     "build_sorted_sample",
     "cell_from_sample",
-    "cone_member",
     "decide",
     "encode_ksum",
     "encode_kldt",
@@ -84,7 +82,6 @@ __all__ = [
     "interior_witness",
     "sign_of",
     "solve",
-    "structural_infer",
 ]
 
 __version__ = "0.1.0"

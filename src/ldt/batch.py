@@ -15,8 +15,9 @@ once, cheapest proof first:
     anchors combine into explicit conic decompositions;
   * finish stragglers by shared support: a least-squares proposal from
     the first unproved row is verified exactly against every open row
-    in one batched integer solve, and only rows no support proves run
-    the exact cone-membership solve, capped in high dimension.
+    in one batched integer solve, and rows no support proves run the
+    exact cone-membership solve; above _EXACT_LP_DIM reduced
+    dimensions both are skipped and the stragglers go to the anchors.
 
 Floating point only ever proposes, and numpy does all of it: a
 log-barrier Newton method (linprog) proposes the pool's max-margin
@@ -24,10 +25,12 @@ point and a Lawson-Hanson NNLS (_nnls) proposes certificate supports.
 Every accepted sign carries an exact certificate, so a wrong answer is
 impossible; the only cost of a missed proof is a hyperplane left
 undetermined.  Pool points are verified too, so a poor proposal only
-weakens the screen.  All exact algebra is
-fraction-free integer arithmetic from intlin: the kernel basis of the
-equalities, the batched support solves that verify least-squares
-proposals, and the last-resort cone-membership simplex.
+weakens the screen.  All exact algebra is fraction-free integer
+arithmetic from intlin: the kernel basis of the equalities, the integer
+products that reduce the cell and the live rows by it and screen them
+against the pool (exact_product, int64 while the sums fit), the batched
+support solves that verify least-squares proposals, and the last-resort
+cone-membership simplex.
 
 The live set arrives as row indices into one geometry.Family, whose
 integer matrix (rational families scaled by a common denominator)
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from math import frexp, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +55,8 @@ from .inference import (
     InferenceOutcome,
 )
 from .intlin import (
-    GEMM_GUARD,
     cone_member,
+    exact_product,
     generator_matrix,
     kernel_basis,
     nonnegative_solutions,
@@ -92,95 +96,65 @@ def _split_blocks(sample) -> tuple[list[list[int]], list[Sign]]:
 
 @dataclass
 class _ChainCell:
-    """Reduced, integer view of a sample cell."""
+    """Reduced, integer view of a sample cell.
 
-    n: int
-    n_red: int
-    kb: list[list[int]] | None
-    reps: list[tuple[int, ...]]
+    KB (n x n_red) holds the kernel basis of the equalities as columns,
+    or is None when the sample has none and the reduced space is the
+    full one.  reps holds the reduced block representatives in sorted
+    order, the origin at row z, and chain their consecutive
+    differences; chain_t is its float transpose, the NNLS's matrix.
+    """
+
+    KB: np.ndarray | None
+    reps: np.ndarray
     z: int
-    chain: list[tuple[int, ...]]
+    chain: np.ndarray
+    chain_t: np.ndarray = field(init=False)
     reach: list[int] = field(default_factory=list)
-    anchors: list[tuple[int, ...]] = field(default_factory=list)
-    above_raw: list[tuple[int, ...]] = field(default_factory=list)
-    below_raw: list[tuple[int, ...]] = field(default_factory=list)
-    lp_budget: int | None = None
-    _gen_mat: np.ndarray | None = None
-    _nnls_mat: np.ndarray | None = None
+    anchors: list[list[int]] = field(default_factory=list)
+    above_raw: list[list[int]] = field(default_factory=list)
+    below_raw: list[list[int]] = field(default_factory=list)
 
-    def gen_mat(self) -> np.ndarray:
-        if self._gen_mat is None:
-            self._gen_mat = generator_matrix(self.chain, self.n_red)
-        return self._gen_mat
+    def __post_init__(self) -> None:
+        self.chain_t = self.chain.T.astype(np.float64)
 
-    def nnls_mat(self) -> np.ndarray:
-        if self._nnls_mat is None:
-            self._nnls_mat = np.array(self.chain, dtype=np.float64).T
-        return self._nnls_mat
+    @property
+    def n_red(self) -> int:
+        return self.reps.shape[1]
 
 
 def _chain_cell(sample, rows: np.ndarray) -> _ChainCell:
     """Build the reduced cell from the member rows, one per member."""
     dim = rows.shape[1]
-    vecs = [tuple(r) for r in rows.tolist()]
     blocks, blabels = _split_blocks(sample)
     zero_blocks = [i for i, lab in enumerate(blabels) if lab is Sign.ZERO]
     if len(zero_blocks) > 1:
         raise InconsistentSampleError("zero-labelled members in two separate blocks")
-    origin = (0,) * dim
-    e_rows: list[list[int]] = []
-    reps_full: list[tuple[int, ...]] = []
+    reps_full = rows[[blk[0] for blk in blocks]]
+    # every member of a block equals its head, and the zero block is zero
+    e_rows = [rows[blk[1:]] - rows[blk[0]] for blk in blocks]
     if zero_blocks:
         z = zero_blocks[0]
-        for i, blk in enumerate(blocks):
-            if i == z:
-                reps_full.append(origin)
-                e_rows.extend(vecs[p] for p in blk)
-            else:
-                rep = vecs[blk[0]]
-                reps_full.append(rep)
-                e_rows.extend([b - a for a, b in zip(rep, vecs[p])] for p in blk[1:])
+        e_rows[z] = rows[blocks[z]]
+        reps_full[z] = 0
     else:
         z = sum(1 for lab in blabels if lab is Sign.MINUS)
-        for i, blk in enumerate(blocks):
-            rep = vecs[blk[0]]
-            reps_full.append(rep)
-            e_rows.extend([b - a for a, b in zip(rep, vecs[p])] for p in blk[1:])
-        reps_full.insert(z, origin)
+        reps_full = np.insert(reps_full, z, 0, axis=0)
+    e_rows = np.concatenate(e_rows)
 
-    if e_rows:
-        kb = kernel_basis(e_rows, dim)
-        n_red = len(kb)
-        reps = [_reduce_vec(v, kb) for v in reps_full]
+    if len(e_rows):
+        KB = generator_matrix(kernel_basis(e_rows.tolist(), dim), dim).T
+        reps = exact_product(reps_full, KB)
     else:
-        kb = None
-        n_red = dim
+        KB = None
         reps = reps_full
-    chain = [
-        tuple(b - a for a, b in zip(reps[j], reps[j + 1]))
-        for j in range(len(reps) - 1)
-    ]
-    if not all(any(row) for row in chain):
+    chain = reps[1:] - reps[:-1]
+    if not chain.any(axis=1).all():
         raise InconsistentSampleError("a strict gap lies in the span of the equalities")
-    cc = _ChainCell(dim, n_red, kb, reps, z, chain)
-    # certification tiers: tiny cells run the exact cone simplex
-    # freely, mid-size cells get a bounded number of calls, and beyond
-    # _EXACT_LP_DIM per-target certification is skipped outright since
-    # a missed inference only costs one direct label query
-    if n_red <= 8:
-        cc.lp_budget = None
-    elif n_red <= _EXACT_LP_DIM:
-        cc.lp_budget = 6
-    else:
-        cc.lp_budget = 0
+    cc = _ChainCell(KB, reps, z, chain)
     _harvest_atoms(cc)
     _collect_anchors(cc)
     return cc
-
-
-def _reduce_vec(v: Sequence[int], kb: list[list[int]]) -> tuple[int, ...]:
-    """Coordinates of v restricted to the kernel spanned by kb."""
-    return tuple(sum(h * col[i] for i, h in enumerate(v) if h) for col in kb)
 
 
 def _harvest_atoms(cc: _ChainCell) -> None:
@@ -195,9 +169,8 @@ def _harvest_atoms(cc: _ChainCell) -> None:
     nr = cc.n_red
     origin = nr
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for b, r in enumerate(cc.reps):
-        groups.setdefault(r, []).append((b, -1))
-        lr = list(r)
+    for b, lr in enumerate(cc.reps.tolist()):
+        groups.setdefault(tuple(lr), []).append((b, -1))
         for c in range(nr):
             lr[c] -= 1
             groups.setdefault(tuple(lr), []).append((b, c))
@@ -236,13 +209,10 @@ def _harvest_atoms(cc: _ChainCell) -> None:
 
 def _collect_anchors(cc: _ChainCell) -> None:
     """Cone anchors ordered by distance from the zero block."""
-    above = [cc.reps[b] for b in range(cc.z + 1, len(cc.reps))]
-    below = [
-        tuple(-x for x in cc.reps[b]) for b in range(cc.z - 1, -1, -1)
-    ]
-    cc.above_raw = above
-    cc.below_raw = [cc.reps[b] for b in range(cc.z - 1, -1, -1)]
-    merged: list[tuple[int, ...]] = []
+    cc.above_raw = above = cc.reps[cc.z + 1:].tolist()
+    cc.below_raw = cc.reps[:cc.z][::-1].tolist()
+    below = [[-x for x in r] for r in cc.below_raw]
+    merged: list[list[int]] = []
     for a, b in zip(above, below):
         merged.append(a)
         merged.append(b)
@@ -321,40 +291,42 @@ def linprog(A: np.ndarray) -> tuple[np.ndarray, float]:
 def _build_pool(cc: _ChainCell) -> np.ndarray:
     """Exact integer points interior to the reduced cell, as columns.
 
-    A max-margin float program (linprog) proposes one point, the chain
-    rows verify; a point joins the pool only with every strict product
-    positive.  Unit perturbations of that point, boosted, screen out the
-    rows that vanish at it.  With no chain rows the cell is the whole
-    reduced space and signed units suffice.  An empty result is allowed:
-    the caller then simply has nothing to screen with and leaves the
-    round to direct labels.
+    A max-margin float program (linprog) proposes one point, rounded to
+    integers at the scale 2^20; when the chain rows reject that, the
+    same point is rounded at the smallest power of two S with
+    S * margin > sqrt(n_red), past which rounding moves no unit row's
+    product by as much as the margin.  A point joins the pool only with
+    every strict product positive.  Unit perturbations of that point,
+    boosted, screen out the rows that vanish at it.  With no chain rows
+    the cell is the whole reduced space and signed units suffice.  An
+    empty result is allowed: the caller then simply has nothing to
+    screen with and leaves the round to direct labels.
     """
     nr = cc.n_red
-    if not cc.chain:
+    if not len(cc.chain):
         eye = np.eye(nr, dtype=np.int64)
-        return np.hstack([eye, -eye]) if nr else np.zeros((nr, 0), dtype=np.int64)
-    C = cc.gen_mat()
-    cmax = max(1, int(np.abs(C).max()))
-    Cf = C.astype(np.float64)
-    empty = np.zeros((nr, 0), dtype=np.int64)
-    # maximize the worst row margin, in units of each row's norm; the
-    # point is rounded at the fixed scale 2^20, so a thin cell whose
-    # interior needs finer integers gets an empty pool
+        return np.hstack([eye, -eye])
+    C = cc.chain
+    Cf = cc.chain_t.T
+    # maximize the worst row margin, in units of each row's norm
     y, margin = linprog(Cf / np.linalg.norm(Cf, axis=1)[:, None])
     if margin <= 1e-12:
-        return empty
-    seed = np.rint(y * 2.0 ** 20).astype(np.int64)  # |y_j| < 1
-    top = int(np.abs(seed).max(initial=0))
-    if top == 0 or top * cmax * nr >= GEMM_GUARD or not (C @ seed > 0).all():
-        return empty
-    if top * 4096 * cmax * nr >= GEMM_GUARD:
-        return seed[:, None]
+        return np.zeros((nr, 0), dtype=np.int64)
+    # |y_j| < 1 and margin > 1e-12 keep fine below 2^49 for n_red
+    # below 2^16, so 4096 times the rounded point stays inside int64
+    fine = 1 << frexp(sqrt(nr) / margin)[1]
+    for scale in (1 << 20, fine):
+        seed = np.rint(y * scale).astype(np.int64)
+        if seed.any() and (exact_product(C, seed) > 0).all():
+            break
+    else:
+        return np.zeros((nr, 0), dtype=np.int64)
     # 4096 seed +- e_c for every coordinate c, in that order
     nudged = np.repeat(seed[:, None] * 4096, 2 * nr, axis=1)
     coord = np.arange(nr)
     nudged[coord, 2 * coord] += 1
     nudged[coord, 2 * coord + 1] -= 1
-    inside = (C @ nudged > 0).all(axis=0)
+    inside = (exact_product(C, nudged) > 0).all(axis=0)
     return np.hstack([seed[:, None], nudged[:, inside]])[:, :_POOL_TARGET]
 
 
@@ -502,7 +474,7 @@ def _nnls_support(cc: _ChainCell, target: np.ndarray) -> list[int] | None:
     """Chain rows a least-squares fit puts weight on, if the fit is exact
     enough and uses at most n_red of them."""
     b = target.astype(np.float64)
-    x, resid = _nnls(cc.nnls_mat(), b)
+    x, resid = _nnls(cc.chain_t, b)
     if resid > 1e-7 * max(1.0, float(np.abs(b).max())):
         return None
     support = [int(j) for j in np.flatnonzero(x > 1e-12)]
@@ -510,15 +482,14 @@ def _nnls_support(cc: _ChainCell, target: np.ndarray) -> list[int] | None:
 
 
 def _exact_memberships(cc: _ChainCell, targets: np.ndarray) -> list[bool | None]:
-    """Is each row of targets in the chain cone?  None when the exact
-    budget is spent.
+    """Is each row of targets in the chain cone?  None for every row
+    when n_red exceeds _EXACT_LP_DIM.
 
     Supports repeat heavily across one round, so the loop runs over
     supports, not rows: the first row no support has proved yet
     proposes one by least squares, and once it proves that row it is
     checked against every row still open in one batched solve.  Rows
-    whose own proposal fails go, in order, to the cone simplex, and
-    only they spend the budget.
+    whose own proposal fails go to the cone simplex.
     """
     verdicts: list[bool | None] = [None] * len(targets)
     if cc.n_red > _EXACT_LP_DIM:
@@ -528,12 +499,10 @@ def _exact_memberships(cc: _ChainCell, targets: np.ndarray) -> list[bool | None]
     for head in range(len(targets)):
         if not open_rows[head]:
             continue
-        support = _nnls_support(cc, targets[head]) if cc.chain else None
+        support = _nnls_support(cc, targets[head]) if len(cc.chain) else None
         if support is not None:
             rows = head + np.flatnonzero(open_rows[head:])
-            proved = nonnegative_solutions(
-                [cc.chain[j] for j in support], targets[rows]
-            )
+            proved = nonnegative_solutions(cc.chain[support], targets[rows])
             if proved[0]:
                 for i in rows[proved]:
                     verdicts[i] = True
@@ -542,11 +511,7 @@ def _exact_memberships(cc: _ChainCell, targets: np.ndarray) -> list[bool | None]
         open_rows[head] = False
         queue.append(head)
     for i in queue:
-        if cc.lp_budget is not None:
-            if cc.lp_budget <= 0:
-                break
-            cc.lp_budget -= 1
-        verdicts[i] = cone_member(cc.gen_mat(), targets[i].tolist()) is not None
+        verdicts[i] = cone_member(cc.chain, targets[i].tolist()) is not None
     return verdicts
 
 
@@ -664,20 +629,14 @@ def infer_set_batch(
 def _decide_rows(cc: _ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signs (-1, 0, 1, as int8) of the rows of Hfull over the cell, and
     which of them are settled."""
-    N, n = Hfull.shape
+    N = len(Hfull)
     nr = cc.n_red
-    if cc.kb is not None:
-        if nr == 0:
-            return np.zeros(N, dtype=np.int8), np.ones(N, dtype=bool)
-        KB = generator_matrix(cc.kb, n).T
-        hmax = int(np.abs(Hfull).max(initial=0))
-        kmax = int(np.abs(KB).max(initial=0))
-        if Hfull.dtype != object and KB.dtype != object and hmax * kmax * n < GEMM_GUARD:
-            Hred = Hfull @ KB
-        else:
-            Hred = Hfull.astype(object) @ KB.astype(object)
-    else:
+    if cc.KB is None:
         Hred = Hfull
+    elif nr == 0:
+        return np.zeros(N, dtype=np.int8), np.ones(N, dtype=bool)
+    else:
+        Hred = exact_product(Hfull, cc.KB)
 
     zero_rows = ~np.any(Hred != 0, axis=1)
     signs = np.zeros(N, dtype=np.int8)
@@ -687,20 +646,9 @@ def _decide_rows(cc: _ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndar
     # then left undetermined and the caller labels it directly
     Y = _build_pool(cc) if not settled.all() else None
     if Y is not None and Y.shape[1]:
-        hmax = int(abs(Hred).max()) if Hred.dtype == object else int(np.abs(Hred).max(initial=0))
-        ymax = int(np.abs(Y).max(initial=0)) if Y.size else 0
-        if Hred.dtype == object or (ymax and hmax * ymax * nr >= GEMM_GUARD):
-            D = np.array(Hred, dtype=object) @ np.array(Y, dtype=object)
-            pos = np.array([[int(x) > 0 for x in row] for row in D], dtype=bool)
-            neg = np.array([[int(x) < 0 for x in row] for row in D], dtype=bool)
-            cand_plus = pos.all(axis=1)
-            cand_minus = neg.all(axis=1)
-        else:
-            D = Hred @ Y
-            cand_plus = (D > 0).all(axis=1)
-            cand_minus = (D < 0).all(axis=1)
-        cand_plus &= ~settled
-        cand_minus &= ~settled
+        D = exact_product(Hred, Y)
+        cand_plus = (D > 0).all(axis=1) & ~settled
+        cand_minus = (D < 0).all(axis=1) & ~settled
 
         if Hred.dtype != object:
             # units grounded straight on zero comparisons

@@ -20,14 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Family, Sign, SignVector, Vector, sign_of
-from .intlin import in_span, row_basis
-from .lp import (
-    HomogeneousSystem,
-    cone_member,
-    feasible,
-    integer_multiple,
-    interior_witness,
-)
+from .lp import HomogeneousSystem, feasible, interior_witness
 from .oracle import HiddenPointOracle
 
 
@@ -220,45 +213,3 @@ def infer_set(
 
     return infer_set_batch(cell, live, family)
 
-
-def structural_infer(sample: SortedSample, h: Vector) -> Sign | None:
-    """Certificate-only inference; sound but deliberately incomplete.
-
-    ZERO: h lies in the span of the ZERO-labelled members.
-    PLUS: h minus the smallest PLUS-labelled member is a nonnegative
-    combination of consecutive differences of the sorted PLUS members,
-    which forces the value of h above a known positive one.  MINUS is
-    the mirror image.  Anything else returns None.
-    """
-    zero_members = [
-        sample.members[i][1]
-        for i in range(len(sample.members))
-        if sample.labels[i] is Sign.ZERO
-    ]
-    if h.is_zero():
-        return Sign.ZERO
-    if zero_members:
-        # span membership ignores scale
-        basis = row_basis(integer_multiple(v)[0] for v in zero_members)
-        if in_span(basis, integer_multiple(h)[0]):
-            return Sign.ZERO
-
-    def ascending(label: Sign) -> list[Vector]:
-        return [
-            sample.members[pos][1]
-            for pos in sample.order
-            if sample.labels[pos] is label
-        ]
-
-    plus = ascending(Sign.PLUS)
-    if plus:
-        diffs = [b - a for a, b in zip(plus, plus[1:])]
-        if cone_member(diffs, h - plus[0]) is not None:
-            return Sign.PLUS
-    minus = ascending(Sign.MINUS)
-    if minus:
-        flipped = [-v for v in reversed(minus)]
-        diffs = [b - a for a, b in zip(flipped, flipped[1:])]
-        if cone_member(diffs, (-h) - flipped[0]) is not None:
-            return Sign.MINUS
-    return None

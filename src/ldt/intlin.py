@@ -1,11 +1,12 @@
 """Fraction-free exact linear algebra over the integers.
 
-The solver side needs four exact computations: a kernel basis for the
-equalities of a sample cell, a span membership test, the particular
-solutions of one small system for a whole batch of targets (their
-signs decide conic certificates), and cone membership (is a target a
-nonnegative combination of given generators).  All four run here on
-Python integers, the batched ones as integer matrix products.  Rows are
+The solver side needs three exact computations: a kernel basis for the
+equalities of a sample cell, the particular solutions of one small
+system for a whole batch of targets (their signs decide conic
+certificates), and cone membership (is a target a nonnegative
+combination of given generators).  All three run here on Python
+integers, the batched ones as integer matrix products, and
+exact_product multiplies integer matrices without overflow.  Rows are
 kept primitive (gcd content divided out) and combined by
 cross-multiplication; every division is exact, so no rational number
 is ever formed, and a rational value appears only as an integer
@@ -73,11 +74,6 @@ def row_basis(rows: Iterable[Sequence[int]]) -> RowBasis:
                 basis[p] = _primitive([s * x - f * y for x, y in zip(b, r)], p)
         basis[lead] = r
     return basis
-
-
-def in_span(basis: RowBasis, row: Sequence[int]) -> bool:
-    """Is row a rational combination of the basis rows?"""
-    return not any(_eliminate(list(row), basis))
 
 
 def kernel_basis(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
@@ -172,6 +168,16 @@ def generator_matrix(rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:
     top = max((abs(a) for row in rows for a in row), default=0)
     dtype = np.int64 if top < GEMM_GUARD else object
     return np.array(rows, dtype=dtype).reshape(len(rows), dim)
+
+
+def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B exactly: in int64 while GEMM_GUARD bounds every sum, in
+    Python integers (object dtype) past it or when either is object."""
+    if A.dtype != object and B.dtype != object:
+        top = int(np.abs(A).max(initial=0)) * int(np.abs(B).max(initial=0))
+        if top * A.shape[-1] < GEMM_GUARD:
+            return A @ B
+    return A.astype(object) @ B.astype(object)
 
 
 def cone_member(

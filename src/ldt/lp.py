@@ -6,22 +6,15 @@ by maximising a slack t with <v,x> >= t on every strict row inside the
 box -1 <= x_j <= 1; the system is feasible exactly when the optimum is
 positive.  All pivoting is exact rational simplex with Bland's rule, so
 termination and soundness are unconditional.
-
-The module also answers cone membership (is a target a nonnegative
-combination of given generators) for rational vectors: it scales them
-to integers and runs intlin's fraction-free revised simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .geometry import Vector
-from .intlin import cone_member as int_cone_member
-from .intlin import generator_matrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -231,56 +224,3 @@ def interior_witness(system: HomogeneousSystem) -> Vector | None:
         return witness
     return None
 
-
-class ConeSolver:
-    """Membership oracle for the cone of a fixed generator list.
-
-    member(target) answers whether target is a nonnegative rational
-    combination of the generators, returning one such combination as a
-    {generator index: coefficient} dict, or None.  Each rational vector
-    is scaled to integers by its own positive denominator, which leaves
-    the cone and the simplex's pivots unchanged; intlin.cone_member
-    decides, and the coefficients are mapped back.
-    """
-
-    def __init__(self, generators: Sequence[Vector], dim: int) -> None:
-        self.dim = dim
-        rows: list[list[int]] = []
-        self.scales: list[int] = []
-        for g in generators:
-            if g.dim != dim:
-                raise ValueError("generator dimension mismatch")
-            row, scale = integer_multiple(g)
-            rows.append(row)
-            self.scales.append(scale)
-        self.gens = generator_matrix(rows, dim)
-
-    def member(self, target: Vector) -> dict[int, Fraction] | None:
-        b, scale = integer_multiple(target)
-        found = int_cone_member(self.gens, b)
-        if found is None:
-            return None
-        num, den = found
-        # scale * target = sum num[j] / den * scales[j] * generators[j]
-        return {
-            j: Fraction(c * self.scales[j], den * scale) for j, c in num.items()
-        }
-
-
-def integer_multiple(v: Vector) -> tuple[list[int], int]:
-    """Integer coordinates of s * v, and the smallest such s > 0."""
-    if v.ints is not None:
-        return list(v.ints), 1
-    s = lcm(*(c.denominator for c in v.coords))
-    return [int(c * s) for c in v.coords], s
-
-
-def cone_member(
-    generators: Sequence[Vector], target: Vector
-) -> dict[int, Fraction] | None:
-    """One-shot nonnegative-combination test; see ConeSolver."""
-    if target.is_zero():
-        return {}
-    if not generators:
-        return None
-    return ConeSolver(generators, target.dim).member(target)

@@ -6,12 +6,14 @@ oracle answers only.  A textual import check keeps the boundary honest.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ldt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ldt"
 
 SOLVER_SIDE = ["solver.py", "inference.py", "batch.py", "intlin.py", "lp.py", "prng.py"]
 
@@ -102,3 +104,20 @@ def test_solve_path_never_imports_scipy(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_hooks_name_existing_bindings():
+    # the traced benchmark patches these module attributes; one that is
+    # gone would leave its per-layer metric empty instead of failing here
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    hooks = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)
+    )
+    assert hooks
+    for module, attr, _ in hooks:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (
+            f"{module}.{attr}"
+        )

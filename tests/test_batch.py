@@ -1,8 +1,9 @@
 """The batched inference engine must agree with the one-at-a-time
 simplex route on every hyperplane: same inferred signs, same
-undetermined set, across random cells.  Its numpy proposers (the pool
-program and the NNLS) are checked against scipy where it is installed,
-and every pool point must be exactly interior."""
+undetermined set, across random cells.  Its integer cell must equal
+the one built vector by vector, its numpy proposers (the pool program
+and the NNLS) are checked against scipy where it is installed, and
+every pool point must be exactly interior."""
 
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from ldt.problems import (
     random_sumset_instance,
     random_triangles_instance,
 )
-from ldt.intlin import generator_matrix
+from ldt.intlin import generator_matrix, kernel_basis
 from ldt.prng import SplitMix64
 from ldt.solver import SolveConfig, solve
 
@@ -61,6 +62,90 @@ def _with_members(cell, vectors):
     members = [v for _, v in cell.sample.members]
     k = len(members)
     return Family.of(members + list(vectors)), list(range(k, k + len(vectors)))
+
+
+def _chain_cell_reference(sample, rows):
+    """The reduced cell built one vector at a time, as tuples:
+    (n_red, z, kernel basis columns or None, reps, chain)."""
+    dim = rows.shape[1]
+    vecs = [tuple(r) for r in rows.tolist()]
+    blocks, blabels = batch._split_blocks(sample)
+    zero_blocks = [i for i, lab in enumerate(blabels) if lab is Sign.ZERO]
+    origin = (0,) * dim
+    e_rows = []
+    reps_full = []
+    for i, blk in enumerate(blocks):
+        if zero_blocks and i == zero_blocks[0]:
+            reps_full.append(origin)
+            e_rows.extend(vecs[p] for p in blk)
+        else:
+            rep = vecs[blk[0]]
+            reps_full.append(rep)
+            e_rows.extend([b - a for a, b in zip(rep, vecs[p])] for p in blk[1:])
+    if zero_blocks:
+        z = zero_blocks[0]
+    else:
+        z = sum(1 for lab in blabels if lab is Sign.MINUS)
+        reps_full.insert(z, origin)
+    kb = kernel_basis(e_rows, dim) if e_rows else None
+    if kb is None:
+        reps = reps_full
+    else:
+        # coordinates of each representative in the kernel basis
+        reps = [
+            tuple(sum(h * col[i] for i, h in enumerate(v) if h) for col in kb)
+            for v in reps_full
+        ]
+    chain = [tuple(b - a for a, b in zip(r, s)) for r, s in zip(reps, reps[1:])]
+    n_red = dim if kb is None else len(kb)
+    return n_red, z, kb, reps, chain
+
+
+def _sample_cases():
+    """Random sorted samples over small vectors, so that ties and zero
+    blocks are common, and the same samples with one coordinate scaled
+    by 2^62 (the secret's by 2^-62, which keeps every value)."""
+    rng = SplitMix64(31)
+    for _ in range(120):
+        dim = 2 + rng.below(4)
+        width = 1 + rng.below(3)
+        secret = [rng.randint(-2, 2) for _ in range(dim)]
+        vecs = [
+            [rng.randint(-width, width) for _ in range(dim)]
+            for _ in range(2 + rng.below(8))
+        ]
+        vecs = [v for v in vecs if any(v)] or [[1] + [0] * (dim - 1)]
+        yield secret, vecs
+        big = [list(v) for v in vecs]
+        for v in big:
+            v[0] <<= 62
+        yield [Fraction(secret[0], 1 << 62)] + secret[1:], big
+
+
+def test_chain_cell_matches_the_vector_by_vector_reference():
+    seen = {"ties": 0, "zero block": 0, "no equalities": 0, "huge": 0}
+    for secret, vecs in _sample_cases():
+        members = [(i, Vector(v)) for i, v in enumerate(vecs)]
+        sample = build_sorted_sample(members, HiddenPointOracle(Vector(secret)))
+        rows = Family.of(v for _, v in members).rows
+        try:
+            n_red, z, kb, reps, chain = _chain_cell_reference(sample, rows)
+        except InconsistentSampleError:
+            continue
+        cc = batch._chain_cell(sample, rows)
+        assert (cc.n_red, cc.z) == (n_red, z)
+        assert (cc.KB is None) is (kb is None)
+        if kb is not None:
+            assert cc.KB.shape == (rows.shape[1], n_red)
+            assert cc.KB.T.tolist() == kb
+        assert cc.reps.tolist() == [list(r) for r in reps]
+        assert cc.chain.tolist() == [list(c) for c in chain]
+        assert cc.chain_t.shape == (n_red, len(chain))
+        seen["ties"] += Sign.ZERO in sample.gap_signs
+        seen["zero block"] += Sign.ZERO in sample.labels
+        seen["no equalities"] += kb is None
+        seen["huge"] += rows.dtype == object
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_engine_agrees_with_simplex_route():
@@ -191,7 +276,7 @@ def test_exact_membership_on_solved_ksum_cell(monkeypatch):
 
     def recording_support(cols, targets):
         proved = support_check(cols, targets)
-        sweeps.append((list(cols), targets.tolist(), proved.tolist()))
+        sweeps.append((cols.tolist(), targets.tolist(), proved.tolist()))
         return proved
 
     def recording_cone(gens, target):
@@ -214,42 +299,58 @@ def test_exact_membership_on_solved_ksum_cell(monkeypatch):
 
 def test_exact_memberships_spend_the_budget_only_on_unproved_rows(monkeypatch):
     # nonnegative chain combinations share supports and never reach the
-    # cone simplex; the rest run it in row order until the budget is spent
+    # cone simplex; every row no support proves runs it once, and every
+    # verdict is the exact one
     rng = SplitMix64(8)
     cone = batch.cone_member
+    support_check = batch.nonnegative_solutions
     for _ in range(30):
         dim = 3 + rng.below(2)
         cell, _, _ = _random_cell(rng, dim, 6)
         members = Family.of(v for _, v in cell.sample.members)
         cc = batch._chain_cell(cell.sample, members.rows)
         nr = cc.n_red
+        chain = cc.chain.tolist()
         targets = []
         for _ in range(12):
             if rng.below(2):
                 targets.append([rng.randint(-3, 3) for _ in range(nr)])
             else:
-                picks = [(rng.randint(0, 2), row) for row in cc.chain]
+                picks = [(rng.randint(0, 2), row) for row in chain]
                 targets.append([sum(w * row[i] for w, row in picks) for i in range(nr)])
         calls = []
+        swept = []
 
         def recording_cone(gens, target):
             calls.append(target)
             return cone(gens, target)
 
+        def recording_support(cols, rows):
+            proved = support_check(cols, rows)
+            if proved[0]:
+                swept.extend(rows[proved].tolist())
+            return proved
+
         monkeypatch.setattr(batch, "cone_member", recording_cone)
-        cc.lp_budget = 2
+        monkeypatch.setattr(batch, "nonnegative_solutions", recording_support)
         verdicts = batch._exact_memberships(cc, generator_matrix(targets, nr))
-        assert len(calls) <= 2
-        called = [i for i, t in enumerate(targets) if t in calls]
-        for i, (t, verdict) in enumerate(zip(targets, verdicts)):
-            member = cone_member_reference(cc.chain, t) is not None
-            if verdict is None:
-                # left over once the budget ran out, after every cone call
-                assert len(calls) == 2 and i > max(called)
-            else:
-                assert verdict is member
-            if t in calls:
-                assert verdict is member
+        assert len(calls) + len(swept) == len(targets)
+        assert all(cone_member_reference(chain, t) is not None for t in swept)
+        for t, verdict in zip(targets, verdicts):
+            assert verdict is (cone_member_reference(chain, t) is not None)
+
+
+def test_exact_memberships_skip_cells_above_the_exact_dimension(monkeypatch):
+    dim = batch._EXACT_LP_DIM + 1
+    cc = _cell_of_chain([[1] * dim, [0] * (dim - 1) + [1]])
+
+    def forbidden(*args):
+        raise AssertionError("no exact work above _EXACT_LP_DIM")
+
+    monkeypatch.setattr(batch, "_nnls", forbidden)
+    monkeypatch.setattr(batch, "cone_member", forbidden)
+    targets = generator_matrix([[1] * dim, [-1] * dim, [2] * dim], dim)
+    assert batch._exact_memberships(cc, targets) == [None, None, None]
 
 
 def _assert_nnls_like_scipy(A, b):
@@ -317,6 +418,14 @@ def test_nnls_gives_up_past_the_iteration_cap(monkeypatch):
     assert capped > 0 and finished > 0
 
 
+def _cell_of_chain(chain):
+    """A cell whose chain is the given rows, with no equalities, the
+    origin as its lowest representative."""
+    chain = generator_matrix(chain, len(chain[0]))
+    reps = np.vstack([np.zeros_like(chain[:1]), np.cumsum(chain, axis=0)])
+    return batch._ChainCell(None, reps, 0, chain)
+
+
 def _exact_interior(C, Y):
     """Every column of Y strictly inside every row of C, in exact integers."""
     products = np.array(C, dtype=object) @ np.array(Y, dtype=object)
@@ -350,7 +459,7 @@ def test_pool_points_are_exactly_interior_on_solved_cells(kind, monkeypatch):
 
     def recording_pool(cc):
         Y = build(cc)
-        cells.append((cc.gen_mat(), Y))
+        cells.append((cc.chain, Y))
         return Y
 
     monkeypatch.setattr(batch, "_build_pool", recording_pool)
@@ -382,8 +491,21 @@ def test_pool_points_are_exactly_interior_on_solved_cells(kind, monkeypatch):
 )
 def test_pool_of_a_thin_cell_near_two_to_the_thirty(chain):
     # each pair of rows leaves a wedge of relative width 2^-30
-    nr = len(chain[0])
-    cc = batch._ChainCell(nr, nr, None, [], 0, chain)
+    Y = batch._build_pool(_cell_of_chain(chain))
+    assert Y.shape[1] >= 1
+    assert _exact_interior(chain, Y)
+
+
+def test_pool_of_a_cell_too_thin_for_the_first_rounding():
+    # the interior holds (1, 1, 0), but the barrier point has margin
+    # about 8e-10 and rounds at 2^20 to a point outside; the retry at a
+    # scale past sqrt(3) / margin lands inside
+    chain = [[(1 << 30) + 7, -(1 << 30), 3], [-(1 << 30) + 1, 1 << 30, -2], [1, 1, 1]]
+    cc = _cell_of_chain(chain)
+    C = cc.chain_t.T
+    y, margin = batch.linprog(C / np.linalg.norm(C, axis=1)[:, None])
+    assert 0 < margin < 1e-8
+    assert not _exact_interior(chain, np.rint(y * 2.0 ** 20).astype(np.int64)[:, None])
     Y = batch._build_pool(cc)
     assert Y.shape[1] >= 1
     assert _exact_interior(chain, Y)
@@ -398,9 +520,9 @@ def test_pool_program_margin_is_near_optimal():
         cell, _, _ = _random_cell(rng, dim, 6)
         members = Family.of(v for _, v in cell.sample.members)
         cc = batch._chain_cell(cell.sample, members.rows)
-        if not cc.chain:
+        if not len(cc.chain):
             continue
-        C = cc.gen_mat().astype(float)
+        C = cc.chain_t.T
         A = C / np.linalg.norm(C, axis=1)[:, None]
         y, margin = batch.linprog(A)
         m, nr = A.shape

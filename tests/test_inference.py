@@ -6,7 +6,6 @@ from ldt.inference import (
     cell_from_sample,
     infer_set,
     infer_sign,
-    structural_infer,
 )
 from ldt.oracle import HiddenPointOracle
 
@@ -103,18 +102,3 @@ def test_infer_set_echoes_sample_labels():
     assert outcome.inferred == SignVector({0: Sign.PLUS, 1: Sign.PLUS})
     assert outcome.undetermined.tolist() == []
 
-
-def test_structural_infer_span_rule():
-    # e1 = e2 = 0 at the secret, so any combination is zero
-    sample, _ = _sample([(1, 0, 0), (0, 1, 0)], (0, 0, 7))
-    assert structural_infer(sample, Vector([3, -2, 0])) is Sign.ZERO
-    assert structural_infer(sample, Vector([0, 0, 1])) is None
-
-
-def test_structural_infer_cone_rule():
-    # ascending plus members 1 < 2 < 3 at secret x = 1 (dim 1):
-    # h = 2 lies between, h - h_min = 1 in the cone of gaps
-    sample, _ = _sample([(1,), (2,), (3,)], (1,))
-    assert structural_infer(sample, Vector([2,])) is Sign.PLUS
-    sample_neg, _ = _sample([(-1,), (-2,), (-3,)], (1,))
-    assert structural_infer(sample_neg, Vector([-2,])) is Sign.MINUS

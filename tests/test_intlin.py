@@ -11,16 +11,15 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from ldt.geometry import Vector
+import numpy as np
 from ldt.intlin import (
+    GEMM_GUARD,
     cone_member,
+    exact_product,
     generator_matrix,
-    in_span,
     kernel_basis,
     nonnegative_solutions,
-    row_basis,
 )
-from ldt.lp import cone_member as lp_cone_member
 
 
 def _rref_reference(rows, n):
@@ -154,18 +153,6 @@ def test_kernel_basis_matches_fraction_rref(case):
     assert got == kernel_basis_reference(rows, n)
     for col in got:
         assert all(sum(a * c for a, c in zip(row, col)) == 0 for row in rows)
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
-def test_span_membership_agrees_with_kernel(case, data):
-    n, rows = case
-    v = data.draw(st.lists(entries, min_size=n, max_size=n))
-    kb = kernel_basis(rows, n)
-    expected = all(sum(a * c for a, c in zip(v, col)) == 0 for col in kb)
-    assert in_span(row_basis(rows), v) is expected
-    for row in rows:
-        assert in_span(row_basis(rows), row)
 
 
 @settings(max_examples=400, deadline=None)
@@ -361,23 +348,36 @@ def test_cone_member_empty_generators_and_zero_target():
     assert _int_cone([[0, 0]], [0, 1]) is None
 
 
-fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+def _product_reference(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def test_exact_product_leaves_int64_at_the_guard():
+    # the bound max|A| * max|B| * inner length picks the dtype; past it
+    # the sums would wrap in int64 (2^31 * 2^31 * 2 = 2^63)
+    cases = [
+        ([[1 << 31, 1 << 31]], [[1 << 31], [1 << 31]], object),
+        ([[(1 << 62) - 1]], [[-3]], object),
+        ([[1 << 30, 1 << 30]], [[(1 << 31) - 1], [(1 << 31) - 1]], np.int64),
+        ([[1 << 30, -(1 << 30)]], [[1 << 31], [1 << 31]], object),
+        ([[1, 2], [3, 4]], [[5], [6]], np.int64),
+    ]
+    for A, B, dtype in cases:
+        got = exact_product(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
+        assert got.dtype == dtype
+        assert got.tolist() == _product_reference(A, B)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_lp_cone_member_scales_rational_vectors(data):
-    n = data.draw(st.integers(min_value=1, max_value=4))
-    gens = data.draw(st.lists(st.lists(fractions, min_size=n, max_size=n), max_size=6))
-    if gens and data.draw(st.booleans()):
-        weights = data.draw(st.lists(fractions.map(abs), min_size=len(gens), max_size=len(gens)))
-        target = [sum(w * g[i] for w, g in zip(weights, gens)) for i in range(n)]
-    else:
-        target = data.draw(st.lists(fractions, min_size=n, max_size=n))
-    got = lp_cone_member([Vector(g) for g in gens], Vector(target))
-    if any(target) and gens:
-        assert got == cone_member_reference(gens, target)
-    else:
-        assert got == ({} if not any(target) else None)
-    if got is not None:
-        _check_combination(got, gens, target)
+@given(matrices(max_rows=4), st.data())
+def test_exact_product_matches_python_integers(case, data):
+    # entries of 2^62 or more arrive as object matrices, as
+    # generator_matrix builds them
+    n, rows = case
+    cols = data.draw(st.integers(min_value=0, max_value=3))
+    B = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=n, max_size=n))
+    got = exact_product(generator_matrix(rows, n), generator_matrix(B, cols))
+    assert got.shape == (len(rows), cols)
+    assert got.tolist() == _product_reference(rows, B)
+    if got.dtype != object:
+        assert all(abs(a) < GEMM_GUARD for row in got.tolist() for a in row)

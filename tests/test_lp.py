@@ -1,13 +1,7 @@
 from fractions import Fraction
 
 from ldt.geometry import Vector
-from ldt.lp import (
-    HomogeneousSystem,
-    ConeSolver,
-    cone_member,
-    feasible,
-    interior_witness,
-)
+from ldt.lp import HomogeneousSystem, feasible, interior_witness
 
 
 def _sys(dim, strict=(), weak=(), equalities=()):
@@ -50,41 +44,3 @@ def test_feasibility_scale_invariance():
 
 def test_empty_system_feasible():
     assert feasible(_sys(3))
-
-
-def test_cone_member_positive():
-    gens = [Vector([2, 1, 2]), Vector([-1, -2, 0])]
-    coeffs = cone_member(gens, Vector([1, -1, 2]))
-    assert coeffs is not None
-    acc = [Fraction(0)] * 3
-    for j, c in coeffs.items():
-        assert c >= 0
-        for i in range(3):
-            acc[i] += c * gens[j].coords[i]
-    assert acc == [1, -1, 2]
-
-
-def test_cone_member_rejects_outside():
-    # regression: membership must fail when the sole solution needs a
-    # negative coefficient
-    gens = [Vector([2, 1, 2]), Vector([-1, -2, 0]), Vector([-1, -2, 0])]
-    assert cone_member(gens, Vector([-2, -1, 2])) is None
-    assert cone_member(gens, Vector([2, 1, -2])) is None
-
-
-def test_cone_member_zero_target_and_empty_generators():
-    assert cone_member([Vector([1, 1])], Vector([0, 0])) == {}
-    assert cone_member([], Vector([1, 0])) is None
-
-
-def test_cone_solver_reuse():
-    solver = ConeSolver([Vector([1, 0]), Vector([1, 1])], 2)
-    assert solver.member(Vector([2, 1])) is not None
-    assert solver.member(Vector([0, 1])) is None  # needs -1 on (1,0)
-    assert solver.member(Vector([-1, 0])) is None
-
-
-def test_cone_solver_boundary_ray():
-    solver = ConeSolver([Vector([1, 2]), Vector([2, 1])], 2)
-    got = solver.member(Vector([3, 3]))
-    assert got == {0: 1, 1: 1}

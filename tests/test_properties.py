@@ -13,7 +13,7 @@ from ldt.geometry import (
     parse_rational,
     sign_of,
 )
-from ldt.inference import build_sorted_sample, cell_from_sample, infer_set, structural_infer
+from ldt.inference import build_sorted_sample, cell_from_sample, infer_set
 from ldt.lp import HomogeneousSystem, feasible
 from ldt.oracle import HiddenPointOracle
 from ldt.solver import SolveConfig, ceil_mul_log2, solve
@@ -68,31 +68,6 @@ def test_feasibility_scale_invariant(rows, scale):
         equalities=(),
     )
     assert feasible(base) == feasible(scaled)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(rationals, min_size=2, max_size=3),
-    st.lists(st.lists(small_ints, min_size=2, max_size=3), min_size=1, max_size=4),
-    st.lists(st.lists(small_ints, min_size=2, max_size=3), min_size=1, max_size=5),
-)
-def test_structural_infer_sound(secret, member_rows, target_rows):
-    dim = len(secret)
-    x = Vector(secret)
-    members = [
-        (i, Vector(r)) for i, r in enumerate(member_rows) if len(r) == dim
-    ]
-    if not members:
-        return
-    oracle = HiddenPointOracle(x)
-    sample = build_sorted_sample(members, oracle)
-    for row in target_rows:
-        if len(row) != dim:
-            continue
-        h = Vector(row)
-        got = structural_infer(sample, h)
-        if got is not None:
-            assert got is sign_of(h.dot(x))
 
 
 @settings(max_examples=30, deadline=None)
