@@ -30,8 +30,8 @@ class SortedSample:
 
     members holds (identifier, vector) pairs; labels align with members.
     order lists member positions by nondecreasing inner product with the
-    hidden point, and gap_signs[i] is the sign of the difference between
-    sorted neighbours i+1 and i (ZERO or PLUS by construction).
+    hidden point, ties by position; gap_signs[i] is the sign of the
+    difference between sorted neighbours i+1 and i (ZERO or PLUS).
     """
 
     members: list[tuple[int, Vector]]
@@ -48,59 +48,60 @@ class InconsistentSampleError(RuntimeError):
 def build_sorted_sample(
     members: Sequence[tuple[int, Vector]], oracle: HiddenPointOracle
 ) -> SortedSample:
-    """Label every member, then sort by comparison queries.
+    """Label every member, then sort each label class by comparisons.
 
-    The sort is a stable merge sort, so it spends at most
-    |S|*ceil(log2 |S|) comparisons.  Consecutive gap signs reuse the
-    sort's own answers where available and cost at most one extra
-    comparison per adjacent pair otherwise.
+    Labels order the classes MINUS < ZERO < PLUS and make the ZERO class
+    one tie, so only MINUS and PLUS are sorted: a stable merge sort over
+    equal-value blocks that compares two block heads once and fuses them
+    on a tie.  No pair is compared twice or across labels, a member that
+    joined a block is never compared again, and a class of c members
+    costs at most c*ceil(log2 c) comparisons.  Gap signs follow from the
+    blocks (ZERO inside one, PLUS between) and cost nothing.
     """
     members = list(members)
     labels = [oracle.label_query(v, ident=i) for i, v in members]
 
-    cache: dict[tuple[int, int], Sign] = {}
-
-    def pair_sign(a: int, b: int) -> Sign:
-        """Sign of value(a) - value(b), cached on the unordered pair."""
-        if a == b:
-            return Sign.ZERO
-        key = (a, b) if a < b else (b, a)
-        s = cache.get(key)
-        if s is None:
-            ia, va = members[key[0]]
-            ib, vb = members[key[1]]
-            s = oracle.comparison_query(va, vb, idents=(ia, ib))
-            cache[key] = s
-        return s if a < b else s.flipped()
-
-    def merge_sort(seq: list[int]) -> list[int]:
-        if len(seq) <= 1:
-            return seq
-        mid = len(seq) // 2
-        left = merge_sort(seq[:mid])
-        right = merge_sort(seq[mid:])
-        out: list[int] = []
+    def merge_sort(items: list[list[int]]) -> list[list[int]]:
+        if len(items) <= 1:
+            return items
+        mid = len(items) // 2
+        left = merge_sort(items[:mid])
+        right = merge_sort(items[mid:])
+        out: list[list[int]] = []
         i = j = 0
         while i < len(left) and j < len(right):
-            if pair_sign(left[i], right[j]) is not Sign.PLUS:
+            ia, va = members[left[i][0]]
+            ib, vb = members[right[j][0]]
+            s = oracle.comparison_query(va, vb, idents=(ia, ib))
+            if s is Sign.MINUS:
                 out.append(left[i])
                 i += 1
-            else:
+            elif s is Sign.PLUS:
                 out.append(right[j])
+                j += 1
+            else:
+                # left positions precede right ones: the block stays ascending
+                out.append(left[i] + right[j])
+                i += 1
                 j += 1
         out.extend(left[i:])
         out.extend(right[j:])
         return out
 
-    order = merge_sort(list(range(len(members))))
-    gap_signs = [pair_sign(order[i + 1], order[i]) for i in range(len(order) - 1)]
-
-    if any(s is Sign.MINUS for s in gap_signs):
-        raise InconsistentSampleError("sorted order violated by a gap sign")
-    for earlier, later in zip(order, order[1:]):
-        if labels[earlier] > labels[later]:
-            raise InconsistentSampleError("labels out of order along the sort")
-    return SortedSample(members, labels, order, gap_signs)
+    by_label: dict[Sign, list[list[int]]] = {lab: [] for lab in Sign}
+    for p, lab in enumerate(labels):
+        by_label[lab].append([p])
+    zeros = [p for [p] in by_label[Sign.ZERO]]
+    blocks = (
+        merge_sort(by_label[Sign.MINUS])
+        + ([zeros] if zeros else [])
+        + merge_sort(by_label[Sign.PLUS])
+    )
+    order = [p for blk in blocks for p in blk]
+    gap_signs: list[Sign] = []
+    for blk in blocks:
+        gap_signs += [Sign.PLUS] + [Sign.ZERO] * (len(blk) - 1)
+    return SortedSample(members, labels, order, gap_signs[1:])
 
 
 @dataclass

@@ -70,6 +70,7 @@ class HiddenPointOracle:
             # once and answer every query with integer arithmetic
             denom = lcm(*(c.denominator for c in secret.coords)) if len(secret) else 1
             self._secret_ints = tuple(int(c * denom) for c in secret.coords)
+        self.dim = len(self._secret_ints)
         self.ledger = QueryLedger(log=[] if log_queries else None)
         self._family = (
             frozenset(strict_family) if strict_family is not None else None
@@ -78,19 +79,20 @@ class HiddenPointOracle:
         # the entry holds h, so no other live object can share the key
         self._values: dict[int, tuple[Vector, int]] = {}
 
-    @property
-    def dim(self) -> int:
-        return len(self._secret_ints)
-
     def _check_member(self, h: Vector, kind: str) -> None:
-        if self._family is not None and h not in self._family:
+        if h not in self._family:
             raise StrictModeViolation(f"{kind} query outside declared family: {h!r}")
 
+    def _check_dim(self, h: Vector) -> None:
+        if h.dim != self.dim:
+            raise ValueError(f"query dimension {h.dim} != oracle dimension {self.dim}")
+
     def _value(self, h: Vector) -> int:
-        """<h, x> for an integer vector h, computed once per vector."""
+        """<h, x> for an integer vector h, dimension-checked and computed once."""
         hit = self._values.get(id(h))
         if hit is not None:
             return hit[1]
+        self._check_dim(h)
         total = 0
         for u, v in zip(h.ints, self._secret_ints):
             if u and v:
@@ -99,10 +101,9 @@ class HiddenPointOracle:
         return total
 
     def _sign_at(self, h: Vector) -> Sign:
-        if h.dim != self.dim:
-            raise ValueError(f"query dimension {h.dim} != oracle dimension {self.dim}")
         if h.ints is not None:
             return sign_of(self._value(h))
+        self._check_dim(h)
         acc = Fraction(0)
         for u, v in zip(h.coords, self._secret_ints):
             if u and v:
@@ -110,7 +111,8 @@ class HiddenPointOracle:
         return sign_of(acc)
 
     def label_query(self, h: Vector, ident: int | None = None) -> Sign:
-        self._check_member(h, "label")
+        if self._family is not None:
+            self._check_member(h, "label")
         answer = self._sign_at(h)
         self.ledger.label_count += 1
         if self.ledger.log is not None:
@@ -127,15 +129,11 @@ class HiddenPointOracle:
         h2: Vector,
         idents: tuple[int, int] | None = None,
     ) -> Sign:
-        self._check_member(h1, "comparison")
-        self._check_member(h2, "comparison")
-        a, b = h1.ints, h2.ints
-        if a is not None and b is not None:
+        if self._family is not None:
+            self._check_member(h1, "comparison")
+            self._check_member(h2, "comparison")
+        if h1.ints is not None and h2.ints is not None:
             # <h1, x> - <h2, x> without building the difference vector
-            if len(a) != self.dim or len(b) != self.dim:
-                raise ValueError(
-                    f"query dimensions {len(a)}, {len(b)} != oracle dimension {self.dim}"
-                )
             answer = sign_of(self._value(h1) - self._value(h2))
         else:
             answer = self._sign_at(h1 - h2)

@@ -5,8 +5,8 @@ comparison queries, and infers every hyperplane whose sign the sample
 cell already pins down.  The sample itself is always pinned down, so
 every round retires at least its own sample; in expectation a constant
 fraction of the live set goes with it.  Once the live set drops below
-twice the sample size the loop stops and the stragglers are labelled
-directly.
+the sample size (2*d_est) the loop stops and the stragglers are
+labelled directly.
 
 All signs come from oracle answers or exact certificates, never from
 guesses, so the reported pattern is correct on every run regardless of

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
-from ldt.geometry import Family, Sign, SignVector, Vector
+from hypothesis import given, settings, strategies as st
+
+from ldt.geometry import Family, Sign, SignVector, Vector, sign_of
 from ldt.inference import (
     build_sorted_sample,
     cell_from_sample,
@@ -28,14 +31,90 @@ def test_sorted_sample_frozen_units():
 
 
 def test_sorted_sample_comparison_budget():
-    import math
-
     secret = tuple(range(1, 18))
     vecs = [tuple(1 if j == i else 0 for j in range(17)) for i in range(17)]
     sample, oracle = _sample(vecs, secret)
     assert [sample.members[p][0] for p in sample.order] == list(range(17))
     budget = 17 * math.ceil(math.log2(17)) + 16
     assert oracle.ledger.comparison_count <= budget
+
+
+def _reference_sort(values):
+    """Stable merge sort of the whole sample by (value, position), with
+    the gap signs of sorted neighbours: the sort that preceded the
+    per-class block sort, answering each pair from the values."""
+
+    def merge_sort(seq):
+        if len(seq) <= 1:
+            return seq
+        mid = len(seq) // 2
+        left = merge_sort(seq[:mid])
+        right = merge_sort(seq[mid:])
+        out = []
+        i = j = 0
+        while i < len(left) and j < len(right):
+            if values[left[i]] <= values[right[j]]:
+                out.append(left[i])
+                i += 1
+            else:
+                out.append(right[j])
+                j += 1
+        out.extend(left[i:])
+        out.extend(right[j:])
+        return out
+
+    order = merge_sort(list(range(len(values))))
+    gaps = [sign_of(values[b] - values[a]) for a, b in zip(order, order[1:])]
+    return order, gaps
+
+
+class _RecordingOracle(HiddenPointOracle):
+    def __init__(self, secret):
+        super().__init__(secret)
+        self.pairs = []
+
+    def comparison_query(self, h1, h2, idents=None):
+        self.pairs.append(idents)
+        return super().comparison_query(h1, h2, idents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([(-3, 3), (-1, 1), (0, 0), (1, 3), (-3, -1), (-9, 9)]),
+    st.integers(min_value=0, max_value=30),
+    st.data(),
+)
+def test_block_sort_matches_stable_sort(dim, value_range, size, data):
+    # values are drawn first, then each member is built to take its
+    # value: x_0 = 1, so setting coordinate 0 fixes <v, x>.  Narrow
+    # ranges give many ties, (0, 0) an all-zero sample and the signed
+    # ranges one-class samples.
+    coord = st.integers(min_value=-3, max_value=3)
+    secret = [1] + data.draw(st.lists(coord, min_size=dim - 1, max_size=dim - 1))
+    values = data.draw(
+        st.lists(st.integers(*value_range), min_size=size, max_size=size)
+    )
+    members = []
+    for pos, val in enumerate(values):
+        rest = data.draw(st.lists(coord, min_size=dim - 1, max_size=dim - 1))
+        head = val - sum(a * b for a, b in zip(rest, secret[1:]))
+        members.append((10 * pos + 7, Vector([head] + rest)))
+    oracle = _RecordingOracle(Vector(secret))
+    sample = build_sorted_sample(members, oracle)
+
+    assert sample.labels == [sign_of(v) for v in values]
+    assert (sample.order, sample.gap_signs) == _reference_sort(values)
+    label_of = {ident: lab for (ident, _), lab in zip(members, sample.labels)}
+    seen = set()
+    for a, b in oracle.pairs:
+        assert label_of[a] is label_of[b] is not Sign.ZERO
+        assert frozenset((a, b)) not in seen
+        seen.add(frozenset((a, b)))
+    counts = [sample.labels.count(lab) for lab in (Sign.MINUS, Sign.PLUS)]
+    budget = sum(c * math.ceil(math.log2(c)) for c in counts if c)
+    assert oracle.ledger.snapshot() == (size, len(oracle.pairs))
+    assert len(oracle.pairs) <= budget
 
 
 def test_cell_pins_witness_signs():

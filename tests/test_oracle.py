@@ -65,6 +65,16 @@ def test_strict_mode_rejects_foreign_vectors():
         oracle.label_query(Vector([1, 1]))
     with pytest.raises(StrictModeViolation):
         oracle.comparison_query(Vector([1, 0]), Vector([1, 1]))
+    # a member whose value is already cached does not let a foreign
+    # partner through, in either position
+    member = fam[0]
+    oracle.label_query(member)
+    before = oracle.ledger.snapshot()
+    with pytest.raises(StrictModeViolation):
+        oracle.comparison_query(member, Vector([1, 1]))
+    with pytest.raises(StrictModeViolation):
+        oracle.comparison_query(Vector([2, 1]), member)
+    assert oracle.ledger.snapshot() == before
 
 
 coords = st.one_of(
@@ -96,12 +106,19 @@ def test_comparison_equals_label_of_difference(dim, data):
     (Vector([1, 0, 0]), Vector([0, 1, 0])),
     (Vector([Fraction(1, 2), 0, 0]), Vector([0, 1])),
     (Vector([Fraction(1, 2), 0, 0]), Vector([0, 1, 0])),
+    (Vector([1, 0]), Vector([Fraction(1, 2), 0, 0])),
 ])
 def test_comparison_dimension_mismatch(h1, h2):
-    oracle = HiddenPointOracle(Vector([1, 2]))
-    with pytest.raises(ValueError):
-        oracle.comparison_query(h1, h2)
-    assert oracle.ledger.snapshot() == (0, 0)
+    for cached in (False, True):
+        oracle = HiddenPointOracle(Vector([1, 2]))
+        if cached:
+            # the well-formed partner's value is known before the query
+            for h in (h1, h2):
+                if h.ints is not None and h.dim == oracle.dim:
+                    oracle._value(h)
+        with pytest.raises(ValueError):
+            oracle.comparison_query(h1, h2)
+        assert oracle.ledger.snapshot() == (0, 0)
 
 
 def test_repeated_queries_reuse_each_vectors_value(monkeypatch):
