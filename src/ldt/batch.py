@@ -20,6 +20,7 @@ once, cheapest proof first:
     dimensions both are skipped and the stragglers go to the anchors.
 
 Floating point only ever proposes, and numpy does all of it: a
+matrix rank proposes where the kernel basis may stop eliminating, a
 log-barrier Newton method (linprog) proposes the pool's max-margin
 point and a Lawson-Hanson NNLS (_nnls) proposes certificate supports.
 Every accepted sign carries an exact certificate, so a wrong answer is
@@ -57,9 +58,10 @@ from .inference import (
 from .intlin import (
     cone_member,
     exact_product,
-    generator_matrix,
-    kernel_basis,
+    hash_weights,
+    kernel_matrix,
     nonnegative_solutions,
+    repeated,
 )
 
 _POOL_TARGET = 64
@@ -131,19 +133,30 @@ def _chain_cell(sample, rows: np.ndarray) -> _ChainCell:
     if len(zero_blocks) > 1:
         raise InconsistentSampleError("zero-labelled members in two separate blocks")
     reps_full = rows[[blk[0] for blk in blocks]]
-    # every member of a block equals its head, and the zero block is zero
-    e_rows = [rows[blk[1:]] - rows[blk[0]] for blk in blocks]
+    z = zero_blocks[0] if zero_blocks else -1
+    # every member of a block equals its head, and the zero block is
+    # zero: an equality row is a member minus its head, or minus the
+    # zero row appended below the members, in block order
+    origin = len(rows)
+    tails: list[int] = []
+    heads: list[int] = []
+    for b, blk in enumerate(blocks):
+        if b == z:
+            tails += blk
+            heads += [origin] * len(blk)
+        elif len(blk) > 1:
+            tails += blk[1:]
+            heads += [blk[0]] * (len(blk) - 1)
+    padded = np.concatenate([rows, np.zeros((1, dim), dtype=rows.dtype)])
+    e_rows = padded[tails] - padded[heads]
     if zero_blocks:
-        z = zero_blocks[0]
-        e_rows[z] = rows[blocks[z]]
         reps_full[z] = 0
     else:
         z = sum(1 for lab in blabels if lab is Sign.MINUS)
         reps_full = np.insert(reps_full, z, 0, axis=0)
-    e_rows = np.concatenate(e_rows)
 
     if len(e_rows):
-        KB = generator_matrix(kernel_basis(e_rows.tolist(), dim), dim).T
+        KB = kernel_matrix(e_rows)
         reps = exact_product(reps_full, KB)
     else:
         KB = None
@@ -168,13 +181,25 @@ def _harvest_atoms(cc: _ChainCell) -> None:
     """
     nr = cc.n_red
     origin = nr
+    reps = cc.reps
+    # entry b * (nr + 1) stands for representative b, entry
+    # b * (nr + 1) + 1 + c for it minus e_c; int64 entries are hashed
+    # to one wrapping 64-bit key each (linear, so a unit shift subtracts
+    # a weight), and only entries whose key is shared can be equal
+    if reps.dtype == object:
+        suspects = np.arange(len(reps) * (nr + 1))
+    else:
+        w = hash_weights(nr)
+        keys = (reps.astype(np.uint64) @ w)[:, None] - np.append(np.uint64(0), w)
+        suspects = repeated(keys.ravel())
+    blk, shift = np.divmod(suspects, nr + 1)
+    shift -= 1
+    shifted = reps[blk]
+    moved = np.flatnonzero(shift >= 0)
+    shifted[moved, shift[moved]] -= 1
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for b, lr in enumerate(cc.reps.tolist()):
-        groups.setdefault(tuple(lr), []).append((b, -1))
-        for c in range(nr):
-            lr[c] -= 1
-            groups.setdefault(tuple(lr), []).append((b, c))
-            lr[c] += 1
+    for key, b, c in zip(map(tuple, shifted.tolist()), blk.tolist(), shift.tolist()):
+        groups.setdefault(key, []).append((b, c))
     adj = [0] * (nr + 1)
     for entries in groups.values():
         if len(entries) < 2:

@@ -108,6 +108,14 @@ class Vector:
             object.__setattr__(self, "_coords", cs)
         return cs
 
+    @classmethod
+    def _of_ints(cls, ints: tuple[int, ...]) -> "Vector":
+        """The Vector of a tuple of Python ints, taken as it is."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "ints", ints)
+        object.__setattr__(v, "_coords", None)
+        return v
+
     def _key(self) -> tuple:
         ints = self.ints
         return ints if ints is not None else self._coords
@@ -235,7 +243,8 @@ class Family(Sequence[Vector]):
     changes no label and no comparison, so rows is integral for every
     family.  A family made from Vectors keeps them, so family[i] is the
     Vector the caller passed in; a family made from a matrix builds
-    family[i], rows[i] / den, only when asked.
+    family[i], rows[i] / den, only when asked, and members(ids) builds
+    a whole list of them from one conversion of their rows.
     """
 
     __slots__ = ("rows", "den", "_vectors")
@@ -302,10 +311,25 @@ class Family(Sequence[Vector]):
         i = operator.index(index)
         if self._vectors is not None:
             return self._vectors[i]
-        row = self.rows[i].tolist()
-        if self.den == 1:
+        return self._member(self.rows[i].tolist())
+
+    def members(self, ids: Sequence[int]) -> list[Vector]:
+        """[family[i] for i in ids], a matrix family's from one
+        conversion of the rows they index."""
+        if self._vectors is not None:
+            held = self._vectors
+            return [held[i] for i in ids]
+        rows = self.rows[np.asarray(ids, dtype=np.intp)].tolist()
+        member = self._member
+        return [member(row) for row in rows]
+
+    def _member(self, row: list[int]) -> Vector:
+        if self.den > 1:
+            return Vector(Fraction(a, self.den) for a in row)
+        if self.rows.dtype == object:
             return Vector(tuple(row))
-        return Vector(Fraction(a, self.den) for a in row)
+        # an int64 row converts to Python ints, so no coordinate needs a check
+        return Vector._of_ints(tuple(row))
 
     def row_of(self, v: Vector) -> tuple[int, ...] | None:
         """v as this family's matrix holds a row: its coordinates times

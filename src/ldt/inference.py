@@ -60,6 +60,10 @@ def build_sorted_sample(
     """
     members = list(members)
     labels = [oracle.label_query(v, ident=i) for i, v in members]
+    idents = [i for i, _ in members]
+    vecs = [v for _, v in members]
+    compare = oracle.comparison_query
+    minus, plus = Sign.MINUS, Sign.PLUS
 
     def merge_sort(items: list[list[int]]) -> list[list[int]]:
         if len(items) <= 1:
@@ -68,20 +72,22 @@ def build_sorted_sample(
         left = merge_sort(items[:mid])
         right = merge_sort(items[mid:])
         out: list[list[int]] = []
+        append = out.append
         i = j = 0
-        while i < len(left) and j < len(right):
-            ia, va = members[left[i][0]]
-            ib, vb = members[right[j][0]]
-            s = oracle.comparison_query(va, vb, idents=(ia, ib))
-            if s is Sign.MINUS:
-                out.append(left[i])
+        n_left, n_right = len(left), len(right)
+        while i < n_left and j < n_right:
+            a, b = left[i], right[j]
+            pa, pb = a[0], b[0]
+            s = compare(vecs[pa], vecs[pb], idents=(idents[pa], idents[pb]))
+            if s is minus:
+                append(a)
                 i += 1
-            elif s is Sign.PLUS:
-                out.append(right[j])
+            elif s is plus:
+                append(b)
                 j += 1
             else:
                 # left positions precede right ones: the block stays ascending
-                out.append(left[i] + right[j])
+                append(a + b)
                 i += 1
                 j += 1
         out.extend(left[i:])

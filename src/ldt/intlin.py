@@ -6,7 +6,9 @@ system for a whole batch of targets (their signs decide conic
 certificates), and cone membership (is a target a nonnegative
 combination of given generators).  All three run here on Python
 integers, the batched ones as integer matrix products, and
-exact_product multiplies integer matrices without overflow.  Rows are
+exact_product multiplies integer matrices without overflow; the one
+float in them, a matrix rank that tells the kernel basis where its
+elimination may stop, is checked exactly before it is trusted.  Rows are
 kept primitive (gcd content divided out) and combined by
 cross-multiplication; every division is exact, so no rational number
 is ever formed, and a rational value appears only as an integer
@@ -19,6 +21,8 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .prng import SplitMix64
 
 # an int64 product sum whose bound (largest entry times largest entry
 # times length) stays below this cannot overflow
@@ -55,24 +59,30 @@ def _eliminate(row: list[int], basis: RowBasis) -> list[int]:
     return row
 
 
+def _absorb(basis: RowBasis, row: Sequence[int]) -> None:
+    """Extend basis, in place, to the reduced echelon basis of its span
+    plus row."""
+    r = _eliminate(list(row), basis)
+    lead = next((j for j, a in enumerate(r) if a), None)
+    if lead is None:
+        return
+    r = _primitive(r, lead)
+    rl = r[lead]
+    # clear the new pivot column from the rows already held
+    for p, b in basis.items():
+        f = b[lead]
+        if f:
+            g = gcd(f, rl)
+            s, f = rl // g, f // g
+            basis[p] = _primitive([s * x - f * y for x, y in zip(b, r)], p)
+    basis[lead] = r
+
+
 def row_basis(rows: Iterable[Sequence[int]]) -> RowBasis:
     """Reduced echelon basis of the span of rows."""
     basis: RowBasis = {}
     for row in rows:
-        r = _eliminate(list(row), basis)
-        lead = next((j for j, a in enumerate(r) if a), None)
-        if lead is None:
-            continue
-        r = _primitive(r, lead)
-        rl = r[lead]
-        # clear the new pivot column from the rows already held
-        for p, b in basis.items():
-            f = b[lead]
-            if f:
-                g = gcd(f, rl)
-                s, f = rl // g, f // g
-                basis[p] = _primitive([s * x - f * y for x, y in zip(b, r)], p)
-        basis[lead] = r
+        _absorb(basis, row)
     return basis
 
 
@@ -84,7 +94,40 @@ def kernel_basis(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
     entry at f, zeros at the other free columns, and the pivot entries
     the kernel forces.  The echelon form is unique, so the basis is too.
     """
-    basis = row_basis(rows)
+    return _kernel_columns(row_basis(rows), n)
+
+
+def kernel_matrix(rows: np.ndarray) -> np.ndarray:
+    """kernel_basis of the rows of an integer matrix from
+    generator_matrix, as the columns of another (n x n_red).
+
+    The elimination stops as soon as its basis reaches the float rank of
+    rows, which only proposes: the basis is kept when every row vanishes
+    on its kernel, checked exactly, and otherwise the elimination
+    resumes over the rows not yet taken.  A kept basis spans the row
+    space, whose reduced echelon form is unique, so the result is
+    kernel_basis's either way.  Object rows (past GEMM_GUARD) skip the
+    proposal and are eliminated in full.
+    """
+    n = rows.shape[1]
+    todo = rows.tolist()
+    basis: RowBasis = {}
+    k = 0
+    if rows.dtype != object:
+        rank = int(np.linalg.matrix_rank(rows.astype(np.float64)))
+        while k < len(todo) and len(basis) < rank:
+            _absorb(basis, todo[k])
+            k += 1
+        KB = generator_matrix(_kernel_columns(basis, n), n).T
+        if k == len(todo) or not exact_product(rows[k:], KB).any():
+            return KB
+    for row in todo[k:]:
+        _absorb(basis, row)
+    return generator_matrix(_kernel_columns(basis, n), n).T
+
+
+def _kernel_columns(basis: RowBasis, n: int) -> list[list[int]]:
+    """kernel_basis from the reduced echelon basis of the functionals."""
     cols: list[list[int]] = []
     for f in range(n):
         if f in basis:
@@ -168,6 +211,25 @@ def generator_matrix(rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:
     top = max((abs(a) for row in rows for a in row), default=0)
     dtype = np.int64 if top < GEMM_GUARD else object
     return np.array(rows, dtype=dtype).reshape(len(rows), dim)
+
+
+def hash_weights(n: int) -> np.ndarray:
+    """n fixed odd 64-bit weights.  rows.astype(np.uint64) @ hash_weights(n)
+    hashes int64 rows to one wrapping 64-bit key each: equal rows share
+    a key, and a key shared by distinct rows is rare."""
+    rng = SplitMix64(0xD1CE_0F_F00D)
+    return np.array([rng.next_u64() | 1 for _ in range(n)], dtype=np.uint64)
+
+
+def repeated(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the keys that occur more than once."""
+    ordered = np.sort(keys)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not shared.size:
+        return np.zeros(0, dtype=np.intp)
+    # a binary search, not np.isin, whose first call imports numpy.ma
+    at = np.minimum(np.searchsorted(shared, keys), shared.size - 1)
+    return np.flatnonzero(shared[at] == keys)
 
 
 def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import IO, Iterable
 
 from .geometry import Sign, Vector, sign_of
@@ -93,10 +94,7 @@ class HiddenPointOracle:
         if hit is not None:
             return hit[1]
         self._check_dim(h)
-        total = 0
-        for u, v in zip(h.ints, self._secret_ints):
-            if u and v:
-                total += u * v
+        total = sum(map(mul, h.ints, self._secret_ints))
         self._values[id(h)] = (h, total)
         return total
 
@@ -132,8 +130,13 @@ class HiddenPointOracle:
         if self._family is not None:
             self._check_member(h1, "comparison")
             self._check_member(h2, "comparison")
-        if h1.ints is not None and h2.ints is not None:
-            # <h1, x> - <h2, x> without building the difference vector
+        # <h1, x> - <h2, x> without building the difference vector; a
+        # cached value was dimension-checked when it was computed
+        hit1 = self._values.get(id(h1))
+        hit2 = self._values.get(id(h2))
+        if hit1 is not None and hit2 is not None:
+            answer = sign_of(hit1[1] - hit2[1])
+        elif h1.ints is not None and h2.ints is not None:
             answer = sign_of(self._value(h1) - self._value(h2))
         else:
             answer = self._sign_at(h1 - h2)

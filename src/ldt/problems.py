@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -76,8 +76,9 @@ def encode_ksum(values: Sequence[Rational | int], k: int) -> Encoding:
             f"{count} {k}-subsets of {n} values exceed cap {KSUM_SUBSET_CAP}"
         )
     subsets = list(combinations(range(n), k))
+    cols = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=count * k)
     rows = np.zeros((count, n), dtype=np.int64)
-    rows[np.arange(count)[:, None], np.array(subsets)] = 1
+    rows[np.arange(count)[:, None], cols.reshape(count, k)] = 1
     return Encoding(
         kind="ksum",
         dim=n,

@@ -16,7 +16,8 @@ The family is converted to one integer matrix once per solve (see
 geometry.Family), and the bookkeeping runs on it as array operations:
 duplicate and zero rows, the coordinate bound W, and the live set as
 an ascending array of row indices.  Only the sample members and the
-rows labelled directly are ever turned into Vectors, for the oracle.
+rows labelled directly are ever turned into Vectors, for the oracle,
+each set from one conversion of its rows (Family.members).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .geometry import Family, SignVector, Vector
 from .inference import build_sorted_sample, cell_from_sample, infer_set
+from .intlin import hash_weights, repeated
 from .oracle import HiddenPointOracle
 from .prng import SplitMix64
 
@@ -108,14 +110,9 @@ def _first_copies(rows: np.ndarray) -> np.ndarray:
     if rows.dtype == object:
         suspects = alias
     else:
-        rng = SplitMix64(0xD1CE_0F_F00D)
-        weights = np.array([rng.next_u64() | 1 for _ in range(n)], dtype=np.uint64)
-        keys = rows.astype(np.uint64) @ weights
-        ordered = np.sort(keys)
-        shared = ordered[1:][ordered[1:] == ordered[:-1]]
-        if not shared.size:
+        suspects = repeated(rows.astype(np.uint64) @ hash_weights(n))
+        if not suspects.size:
             return alias
-        suspects = np.flatnonzero(np.isin(keys, shared))
     canon: dict[tuple[int, ...], int] = {}
     for i, row in zip(suspects.tolist(), rows[suspects].tolist()):
         alias[i] = canon.setdefault(tuple(row), i)
@@ -162,7 +159,7 @@ def solve(
         mark = oracle.ledger.snapshot()
         live_before = live.size
         picks = live[rng.sample_indices(live.size, s_target)].tolist()
-        ss = build_sorted_sample([(i, family[i]) for i in picks], oracle)
+        ss = build_sorted_sample(list(zip(picks, family.members(picks))), oracle)
         cell = cell_from_sample(ss, n)
         outcome = infer_set(cell, live, family)
         ids, inferred = outcome.inferred.arrays()
@@ -182,8 +179,9 @@ def solve(
         )
 
     final_labels = live.size
-    for i in live.tolist():
-        signs[i] = oracle.label_query(family[i], ident=i)
+    ids = live.tolist()
+    for i, v in zip(ids, family.members(ids)):
+        signs[i] = oracle.label_query(v, ident=i)
 
     after = oracle.ledger.snapshot()
     return SolveReport(

@@ -6,6 +6,7 @@ and the NNLS) are checked against scipy where it is installed, and
 every pool point must be exactly interior."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -141,11 +142,79 @@ def test_chain_cell_matches_the_vector_by_vector_reference():
         assert cc.reps.tolist() == [list(r) for r in reps]
         assert cc.chain.tolist() == [list(c) for c in chain]
         assert cc.chain_t.shape == (n_red, len(chain))
+        assert cc.reach == _reach_reference(cc.reps)
         seen["ties"] += Sign.ZERO in sample.gap_signs
         seen["zero block"] += Sign.ZERO in sample.labels
         seen["no equalities"] += kb is None
         seen["huge"] += rows.dtype == object
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def _reach_reference(reps):
+    """The harvest's reachability masks, from a dict keyed by every
+    representative and every unit shift of it."""
+    nr = reps.shape[1]
+    origin = nr
+    groups = {}
+    for b, lr in enumerate(reps.tolist()):
+        groups.setdefault(tuple(lr), []).append((b, -1))
+        for c in range(nr):
+            lr[c] -= 1
+            groups.setdefault(tuple(lr), []).append((b, c))
+            lr[c] += 1
+    adj = [0] * (nr + 1)
+    for entries in groups.values():
+        for (b1, c1), (b2, c2) in combinations(entries, 2):
+            if b1 == b2 or c1 == c2 == -1:
+                continue
+            if c2 == -1:
+                u, v = (c1, origin) if b1 > b2 else (origin, c1)
+            elif c1 == -1:
+                u, v = (c2, origin) if b2 > b1 else (origin, c2)
+            else:
+                u, v = (c1, c2) if b1 > b2 else (c2, c1)
+            adj[u] |= 1 << v
+    reach = []
+    for start in range(nr + 1):
+        seen, stack = 0, [start]
+        while stack:
+            u = stack.pop()
+            for v in range(nr + 1):
+                if adj[u] >> v & 1 and not seen >> v & 1:
+                    seen |= 1 << v
+                    stack.append(v)
+        reach.append(seen)
+    return reach
+
+
+def test_hashed_harvest_matches_the_dict_reference(monkeypatch):
+    rng = SplitMix64(8)
+    cases = []
+    for _ in range(150):
+        nr, nb = rng.below(7), 1 + rng.below(30)
+        reps = [[rng.randint(-2, 2) for _ in range(nr)] for _ in range(nb)]
+        cases.append(np.array(reps, dtype=np.int64).reshape(nb, nr))
+    # object representatives, shifted past int64 where they have columns
+    huge = [reps.astype(object) for reps in cases[:50]]
+    for reps in huge[::2]:
+        reps[:, :1] += 1 << 63
+
+    def harvest(reps):
+        cc = batch._ChainCell(None, reps, 0, reps[1:] - reps[:-1])
+        batch._harvest_atoms(cc)
+        return cc.reach
+
+    edges = 0
+    for reps in cases + huge:
+        want = _reach_reference(reps)
+        assert harvest(reps) == want
+        edges += sum(r != 0 for r in want)
+    assert edges > 200
+    # every key equal: each entry is a suspect, and exact grouping alone
+    # must keep distinct entries apart
+    monkeypatch.setattr(batch, "hash_weights", lambda n: np.ones(n, dtype=np.uint64))
+    for reps in cases[:60]:
+        assert harvest(reps) == _reach_reference(reps)
 
 
 def test_engine_agrees_with_simplex_route():

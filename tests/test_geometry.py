@@ -145,6 +145,29 @@ def test_family_dtype_follows_its_entries():
         Family(np.array([[0.5, 1.0]]))
 
 
+def test_family_members_in_bulk():
+    vecs = [Vector([1, -2]), Vector([Fraction(1, 2), 3]), Vector([0, 0])]
+    fam = Family.of(vecs)
+    # a family of Vectors hands back the caller's own objects
+    assert all(a is vecs[i] for a, i in zip(fam.members([2, 0, 2]), [2, 0, 2]))
+    assert fam.members([]) == []
+    edge = (1 << 62) - 1
+    for rows in (
+        np.array([[3, -1, 0], [edge, -edge, 7], [0, 0, 0]]),
+        np.array([[1 << 62, -1, 0], [-(1 << 70), 2, 5]], dtype=object),
+    ):
+        ids = np.array([1, 0, 1])
+        got = Family(rows).members(ids)
+        for v, i in zip(got, ids.tolist()):
+            want = Vector(tuple(rows[i].tolist()))
+            assert v == want and hash(v) == hash(want)
+            assert v.ints == want.ints and all(type(a) is int for a in v.ints)
+            assert v == Family(rows)[i]
+    rational = Family(np.array([[3, 6], [-4, 1]]), 6).members([0, 1])
+    assert rational == [Vector([Fraction(1, 2), 1]), Vector([Fraction(-2, 3), Fraction(1, 6)])]
+    assert rational[1].ints is None
+
+
 def test_sign_vector_from_arrays():
     sv = SignVector.from_arrays([5, 0, 1], [-1, 1, 0])
     assert sv == SignVector({0: Sign.PLUS, 1: Sign.ZERO, 5: Sign.MINUS})

@@ -12,14 +12,18 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
+from ldt import intlin
 from ldt.intlin import (
     GEMM_GUARD,
     cone_member,
     exact_product,
     generator_matrix,
     kernel_basis,
+    kernel_matrix,
     nonnegative_solutions,
+    repeated,
 )
+from ldt.prng import SplitMix64
 
 
 def _rref_reference(rows, n):
@@ -153,6 +157,79 @@ def test_kernel_basis_matches_fraction_rref(case):
     assert got == kernel_basis_reference(rows, n)
     for col in got:
         assert all(sum(a * c for a, c in zip(row, col)) == 0 for row in rows)
+
+
+def _kernel_as_matrix(rows, n):
+    return generator_matrix(kernel_basis(rows, n), n).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(max_rows=12))
+def test_rank_stopped_kernel_matches_kernel_basis(case):
+    n, rows = case
+    got = kernel_matrix(generator_matrix(rows, n))
+    want = _kernel_as_matrix(rows, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
+def _dependent_rows(rng, n, rank, count):
+    """count rows over n columns spanning a space of the given rank:
+    random rows first, then combinations of them."""
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    while len(rows) < count:
+        a, b = rows[rng.below(len(rows))], rows[rng.below(len(rows))]
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+def test_rank_stopped_kernel_stops_at_the_rank(monkeypatch):
+    absorbed = 0
+    absorb = intlin._absorb
+
+    def counting(basis, row):
+        nonlocal absorbed
+        absorbed += 1
+        absorb(basis, row)
+
+    monkeypatch.setattr(intlin, "_absorb", counting)
+    rows = [[1, 0, 0, 2], [0, 1, 0, -1], [0, 0, 0, 0]] + [[1, 1, 0, 1]] * 20
+    KB = kernel_matrix(generator_matrix(rows, 4))
+    assert absorbed == 2
+    assert KB.tolist() == _kernel_as_matrix(rows, 4).tolist()
+
+
+def test_rank_stopped_kernel_resumes_past_a_low_float_rank(monkeypatch):
+    rng = SplitMix64(2)
+    float_rank = np.linalg.matrix_rank
+    for shortfall in (1, 2, 100):
+        monkeypatch.setattr(
+            np.linalg, "matrix_rank", lambda a, s=shortfall: max(0, float_rank(a) - s)
+        )
+        for _ in range(40):
+            n = 1 + rng.below(7)
+            rows = _dependent_rows(rng, n, 1 + rng.below(n), 1 + rng.below(15))
+            got = kernel_matrix(generator_matrix(rows, n))
+            assert got.tolist() == _kernel_as_matrix(rows, n).tolist()
+
+
+def test_rank_stopped_kernel_takes_the_exact_path_past_the_guard(monkeypatch):
+    def no_float_rank(a):
+        raise AssertionError("object rows must not be rounded to floats")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_float_rank)
+    rows = [[HUGE, 1, 0], [2 * HUGE, 2, 0], [0, 0, 5], [HUGE, 1, 5]]
+    M = generator_matrix(rows, 3)
+    assert M.dtype == object
+    assert kernel_matrix(M).tolist() == _kernel_as_matrix(rows, 3).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6)))
+def test_repeated_finds_every_shared_key(keys):
+    want = [i for i, k in enumerate(keys) if keys.count(k) > 1]
+    assert repeated(np.array(keys, dtype=np.uint64)).tolist() == want
 
 
 @settings(max_examples=400, deadline=None)

@@ -47,6 +47,15 @@ def test_ksum_encoding_shape():
     assert brute_ksum((5, -1, -4, 7, 2, 9), 3) is True
 
 
+def test_ksum_rows_are_the_subset_indicators():
+    for n, k in ((7, 1), (7, 3), (9, 4), (5, 5)):
+        enc = encode_ksum(list(range(1, n + 1)), k)
+        subsets = list(combinations(range(n), k))
+        assert enc.meta["subsets"] == subsets
+        assert enc.family.rows.dtype == np.int64
+        assert enc.family.rows.tolist() == [[int(i in s) for i in range(n)] for s in subsets]
+
+
 def test_ksum_negative_instance():
     vals = (1, 2, 4, 8, 16, 32)
     enc = encode_ksum([Fraction(v) for v in vals], 3)

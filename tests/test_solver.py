@@ -1,3 +1,5 @@
+import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -125,10 +127,13 @@ def test_sample_constant_shrinks_sample():
 
 def test_strict_mode_round_trip():
     enc = encode_ksum([Fraction(v) for v in range(1, 17)], 3)
-    oracle = HiddenPointOracle(enc.hidden, strict_family=enc.family)
-    report = solve(enc.family, oracle, SolveConfig(seed=2))
     truth = ground_truth_pattern(enc.family, enc.hidden)
-    assert all(report.pattern[i] is truth[i] for i in range(len(enc.family)))
+    # a matrix family, and a list of Vectors the solver converts once
+    for family in (enc.family, list(enc.family)):
+        oracle = HiddenPointOracle(enc.hidden, strict_family=family)
+        report = solve(family, oracle, SolveConfig(seed=2))
+        assert report.rounds
+        assert all(report.pattern[i] is truth[i] for i in range(len(enc.family)))
 
 
 _CONTRADICTORY_SOLVE = """
@@ -196,14 +201,14 @@ def test_solve_materialises_only_the_rows_it_queries(monkeypatch):
     # a Vector is built for a sample member or a direct label, never for
     # every row of the family
     calls = 0
-    getitem = Family.__getitem__
+    member = Family._member
 
-    def counting(self, index):
+    def counting(self, row):
         nonlocal calls
         calls += 1
-        return getitem(self, index)
+        return member(self, row)
 
-    monkeypatch.setattr(Family, "__getitem__", counting)
+    monkeypatch.setattr(Family, "_member", counting)
     for enc in (
         encode_ksum(random_ksum_instance(SplitMix64(3), 32, 3, planted=True), 3),
         encode_subset_sum(random_subset_sum_instance(SplitMix64(5), 14, planted=True)),
@@ -211,4 +216,18 @@ def test_solve_materialises_only_the_rows_it_queries(monkeypatch):
         calls = 0
         report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=1))
         assert report.rounds
-        assert calls <= report.label_queries
+        assert 0 < calls <= report.label_queries
+
+
+def test_query_trace_is_pinned():
+    # the sorts and the direct labels ask the same queries in the same
+    # order as the per-member and per-pair loops they replaced
+    enc = encode_ksum(random_ksum_instance(SplitMix64(2024), 16, 3, planted=True), 3)
+    oracle = HiddenPointOracle(enc.hidden, log_queries=True)
+    report = solve(enc.family, oracle, SolveConfig(seed=3))
+    assert len(report.rounds) == 1
+    assert oracle.ledger.snapshot() == (269, 1446)
+    buf = io.StringIO()
+    oracle.ledger.export_jsonl(buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "398f6cd62ffc48f776af6362513fc08ff8eb21677d2444ab58e833ab47e63b28"
