@@ -15,23 +15,26 @@ once, cheapest proof first:
     anchors combine into explicit conic decompositions;
   * finish stragglers by shared support: a least-squares proposal from
     the first unproved row is verified exactly against every open row
-    in one batched integer solve, and rows no support proves run the
-    exact cone-membership solve; above _EXACT_LP_DIM reduced
-    dimensions both are skipped and the stragglers go to the anchors.
+    in one batched integer solve.  A row no support proves can only be
+    shown outside the cone: cone_member rounds a Farkas vector from the
+    residual of the row's own fit and checks it exactly, and never
+    proves membership.  Rows it does not separate go to the anchors,
+    and so do all stragglers above _EXACT_LP_DIM reduced dimensions,
+    where this tier is skipped.
 
 Floating point only ever proposes, and numpy does all of it: a
 matrix rank proposes where the kernel basis may stop eliminating, a
 log-barrier Newton method (linprog) proposes the pool's max-margin
-point and a Lawson-Hanson NNLS (_nnls) proposes certificate supports.
-Every accepted sign carries an exact certificate, so a wrong answer is
-impossible; the only cost of a missed proof is a hyperplane left
-undetermined.  Pool points are verified too, so a poor proposal only
-weakens the screen.  All exact algebra is fraction-free integer
-arithmetic from intlin: the kernel basis of the equalities, the integer
-products that reduce the cell and the live rows by it and screen them
-against the pool (exact_product, int64 while the sums fit), the batched
-support solves that verify least-squares proposals, and the last-resort
-cone-membership simplex.
+point and a Lawson-Hanson NNLS (_nnls) proposes certificate supports
+and Farkas vectors.  Every accepted sign carries an exact certificate,
+so a wrong answer is impossible; the only cost of a missed proof is a
+hyperplane left undetermined.  Pool points are verified too, so a poor
+proposal only weakens the screen.  All exact algebra is fraction-free
+integer arithmetic from intlin: the kernel bases of the equalities and
+of a Farkas vector's tight rows, the integer products that reduce the
+cell and the live rows by it, screen them against the pool and check
+every Farkas vector (exact_product, int64 while the sums fit), and the
+batched support solves that verify least-squares proposals.
 
 The live set arrives as row indices into one geometry.Family, whose
 integer matrix (rational families scaled by a common denominator)
@@ -56,7 +59,6 @@ from .inference import (
     InferenceOutcome,
 )
 from .intlin import (
-    cone_member,
     exact_product,
     hash_weights,
     kernel_matrix,
@@ -73,27 +75,6 @@ _EXACT_LP_DIM = 16
 _NEWTON_CAP = 200
 _BARRIER_GROWTH = 100.0
 _NNLS_ITERS_PER_COLUMN = 3
-
-
-def _split_blocks(sample) -> tuple[list[list[int]], list[Sign]]:
-    """Group sorted positions into equal-value blocks."""
-    blocks: list[list[int]] = []
-    cur = [sample.order[0]]
-    for i, gap in enumerate(sample.gap_signs):
-        nxt = sample.order[i + 1]
-        if gap is Sign.ZERO:
-            cur.append(nxt)
-        else:
-            blocks.append(cur)
-            cur = [nxt]
-    blocks.append(cur)
-    labels = []
-    for blk in blocks:
-        lab = sample.labels[blk[0]]
-        if any(sample.labels[p] is not lab for p in blk):
-            raise InconsistentSampleError("tied values with differing labels")
-        labels.append(lab)
-    return blocks, labels
 
 
 @dataclass
@@ -128,7 +109,11 @@ class _ChainCell:
 def _chain_cell(sample, rows: np.ndarray) -> _ChainCell:
     """Build the reduced cell from the member rows, one per member."""
     dim = rows.shape[1]
-    blocks, blabels = _split_blocks(sample)
+    blocks = sample.blocks
+    labels = sample.labels
+    blabels = [labels[blk[0]] for blk in blocks]
+    if any(labels[p] is not lab for blk, lab in zip(blocks, blabels) for p in blk):
+        raise InconsistentSampleError("tied values with differing labels")
     zero_blocks = [i for i, lab in enumerate(blabels) if lab is Sign.ZERO]
     if len(zero_blocks) > 1:
         raise InconsistentSampleError("zero-labelled members in two separate blocks")
@@ -360,21 +345,16 @@ def _decompose_units(g: Sequence[int], cc: _ChainCell) -> bool:
 
     g splits into +e_c and -e_d units; each positive unit needs either
     a negative partner it provably exceeds or a proof it exceeds zero,
-    and leftover negative units need a proof they sit below zero.
+    and leftover negative units need a proof they sit below zero.  A g
+    of no units or more than _UNIT_CAP is refused before any unit is
+    listed.
     """
+    if not 0 < sum(map(abs, g)) <= _UNIT_CAP:
+        return False
     origin = cc.n_red
     reach = cc.reach
-    pos: list[int] = []
-    neg: list[int] = []
-    for c, val in enumerate(g):
-        if val > 0:
-            pos.extend([c] * val)
-        elif val < 0:
-            neg.extend([c] * (-val))
-        if len(pos) + len(neg) > _UNIT_CAP:
-            return False
-    if not pos and not neg:
-        return False
+    pos = [c for c, val in enumerate(g) if val > 0 for _ in range(val)]
+    neg = [c for c, val in enumerate(g) if val < 0 for _ in range(-val)]
     zero_mask = reach[origin]
     if all((reach[c] >> origin) & 1 for c in pos) and all(
         (zero_mask >> d) & 1 for d in neg
@@ -418,19 +398,14 @@ def _anchored_cert(target: list[int], cc: _ChainCell) -> bool:
     """Conic decomposition of target using anchors plus unit atoms."""
     if _decompose_units(target, cc):
         return True
-    tried = 0
-    for a in cc.anchors:
-        if tried >= _ANCHOR_TRIES:
-            break
-        tried += 1
-        g = [t - x for t, x in zip(target, a)]
-        if sum(abs(v) for v in g) <= _UNIT_CAP and _decompose_units(g, cc):
+    for a in cc.anchors[:_ANCHOR_TRIES]:
+        if _decompose_units([t - x for t, x in zip(target, a)], cc):
             return True
     head = cc.anchors[:_PAIR_ANCHORS]
     for i in range(len(head)):
         for j in range(i, len(head)):
             g = [t - x - y for t, x, y in zip(target, head[i], head[j])]
-            if sum(abs(v) for v in g) <= _UNIT_CAP and _decompose_units(g, cc):
+            if _decompose_units(g, cc):
                 return True
     return False
 
@@ -495,36 +470,82 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(np.linalg.norm(A @ x - b))
 
 
-def _nnls_support(cc: _ChainCell, target: np.ndarray) -> list[int] | None:
-    """Chain rows a least-squares fit puts weight on, if the fit is exact
-    enough and uses at most n_red of them."""
+def _nnls_support(
+    cc: _ChainCell, target: np.ndarray
+) -> tuple[list[int] | None, np.ndarray]:
+    """A nonnegative least-squares fit of target by the chain rows: the
+    rows it puts weight on, if the fit is exact enough and uses at most
+    n_red of them (None otherwise), and its residual target - chain^T x."""
     b = target.astype(np.float64)
     x, resid = _nnls(cc.chain_t, b)
+    residual = b - cc.chain_t @ x
     if resid > 1e-7 * max(1.0, float(np.abs(b).max())):
-        return None
+        return None, residual
     support = [int(j) for j in np.flatnonzero(x > 1e-12)]
-    return support if len(support) <= cc.n_red else None
+    return (support if len(support) <= cc.n_red else None), residual
+
+
+def cone_member(
+    cc: _ChainCell, target: np.ndarray, residual: np.ndarray
+) -> bool | None:
+    """False when target provably lies outside the cone of the chain
+    rows, None when no proof was found.  This only ever proves
+    non-membership: it never returns True.
+
+    The proof is a Farkas vector y with chain @ y >= 0 and target @ y < 0,
+    both checked exactly, which no nonnegative combination of the rows
+    can satisfy, so any y is sound.  residual = target - chain^T x at a
+    nonnegative least-squares optimum x proposes it: there
+    chain @ residual <= 0, vanishing on the rows the fit uses, and
+    target @ residual = |residual|^2 > 0.  So y is -residual moved into
+    the exact kernel of the rows where chain @ residual vanishes in
+    floats (the tight rows): least squares over the kernel basis,
+    rounded to integers with its largest coefficient at 2^20.  With no
+    tight rows y is -residual rounded alike; with no rows at all the
+    residual is target itself.
+    """
+    chain = cc.chain
+    C = cc.chain_t.T
+    slack = C @ residual
+    norms = np.linalg.norm(C, axis=1) * np.linalg.norm(residual)
+    tight = np.abs(slack) <= 1e-9 * norms
+    if tight.any():
+        K = kernel_matrix(chain[tight])
+        u = np.linalg.lstsq(K.astype(np.float64), -residual, rcond=None)[0]
+    else:
+        K = None
+        u = -residual
+    top = float(np.abs(u).max(initial=0))
+    if not 0 < top < np.inf:
+        return None
+    u = np.rint(u / top * (1 << 20)).astype(np.int64)
+    y = u if K is None else exact_product(K, u)
+    if (exact_product(chain, y) >= 0).all() and exact_product(target, y) < 0:
+        return False
+    return None
 
 
 def _exact_memberships(cc: _ChainCell, targets: np.ndarray) -> list[bool | None]:
-    """Is each row of targets in the chain cone?  None for every row
-    when n_red exceeds _EXACT_LP_DIM.
+    """Is each row of targets in the chain cone?  True and False are
+    exact answers; None leaves the row open, and is every verdict when
+    n_red exceeds _EXACT_LP_DIM.
 
     Supports repeat heavily across one round, so the loop runs over
     supports, not rows: the first row no support has proved yet
     proposes one by least squares, and once it proves that row it is
-    checked against every row still open in one batched solve.  Rows
-    whose own proposal fails go to the cone simplex.
+    checked against every row still open in one batched solve.  A row
+    whose own proposal fails can only be proved outside the cone, by a
+    Farkas vector drawn from the residual of that same fit
+    (cone_member).
     """
     verdicts: list[bool | None] = [None] * len(targets)
     if cc.n_red > _EXACT_LP_DIM:
         return verdicts
     open_rows = np.ones(len(targets), dtype=bool)
-    queue: list[int] = []
     for head in range(len(targets)):
         if not open_rows[head]:
             continue
-        support = _nnls_support(cc, targets[head]) if len(cc.chain) else None
+        support, residual = _nnls_support(cc, targets[head])
         if support is not None:
             rows = head + np.flatnonzero(open_rows[head:])
             proved = nonnegative_solutions(cc.chain[support], targets[rows])
@@ -534,9 +555,7 @@ def _exact_memberships(cc: _ChainCell, targets: np.ndarray) -> list[bool | None]
                 open_rows[rows[proved]] = False
                 continue
         open_rows[head] = False
-        queue.append(head)
-    for i in queue:
-        verdicts[i] = cone_member(cc.chain, targets[i].tolist()) is not None
+        verdicts[head] = cone_member(cc, targets[head], residual)
     return verdicts
 
 

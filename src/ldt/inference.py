@@ -29,15 +29,15 @@ class SortedSample:
     """Labels and sorted order of a queried sample.
 
     members holds (identifier, vector) pairs; labels align with members.
-    order lists member positions by nondecreasing inner product with the
-    hidden point, ties by position; gap_signs[i] is the sign of the
-    difference between sorted neighbours i+1 and i (ZERO or PLUS).
+    blocks groups the member positions into equal-value blocks, each
+    ascending, listed by increasing inner product with the hidden point:
+    members of one block tie, and each block lies strictly below the
+    next.
     """
 
     members: list[tuple[int, Vector]]
     labels: list[Sign]
-    order: list[int]
-    gap_signs: list[Sign]
+    blocks: list[list[int]]
 
 
 class InconsistentSampleError(RuntimeError):
@@ -55,8 +55,7 @@ def build_sorted_sample(
     equal-value blocks that compares two block heads once and fuses them
     on a tie.  No pair is compared twice or across labels, a member that
     joined a block is never compared again, and a class of c members
-    costs at most c*ceil(log2 c) comparisons.  Gap signs follow from the
-    blocks (ZERO inside one, PLUS between) and cost nothing.
+    costs at most c*ceil(log2 c) comparisons.
     """
     members = list(members)
     labels = [oracle.label_query(v, ident=i) for i, v in members]
@@ -103,11 +102,7 @@ def build_sorted_sample(
         + ([zeros] if zeros else [])
         + merge_sort(by_label[Sign.PLUS])
     )
-    order = [p for blk in blocks for p in blk]
-    gap_signs: list[Sign] = []
-    for blk in blocks:
-        gap_signs += [Sign.PLUS] + [Sign.ZERO] * (len(blk) - 1)
-    return SortedSample(members, labels, order, gap_signs[1:])
+    return SortedSample(members, labels, blocks)
 
 
 @dataclass
@@ -154,14 +149,15 @@ def _sample_system(sample: SortedSample, dim: int) -> HomogeneousSystem:
             strict.append(-v)
         else:
             equalities.append(v)
-    for i, gap in enumerate(sample.gap_signs):
-        lo = sample.members[sample.order[i]][1]
-        hi = sample.members[sample.order[i + 1]][1]
-        diff = hi - lo
-        if gap is Sign.PLUS:
-            strict.append(diff)
-        else:
-            equalities.append(diff)
+    # sorted neighbours differ by an equality inside a block and by a
+    # strict gap from one block to the next
+    lo = None
+    for blk in sample.blocks:
+        for k, p in enumerate(blk):
+            hi = sample.members[p][1]
+            if lo is not None:
+                (equalities if k else strict).append(hi - lo)
+            lo = hi
     return HomogeneousSystem(dim, strict=tuple(strict), equalities=tuple(equalities))
 
 

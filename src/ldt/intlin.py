@@ -1,15 +1,15 @@
 """Fraction-free exact linear algebra over the integers.
 
-The solver side needs three exact computations: a kernel basis for the
-equalities of a sample cell, the particular solutions of one small
-system for a whole batch of targets (their signs decide conic
-certificates), and cone membership (is a target a nonnegative
-combination of given generators).  All three run here on Python
-integers, the batched ones as integer matrix products, and
-exact_product multiplies integer matrices without overflow; the one
-float in them, a matrix rank that tells the kernel basis where its
-elimination may stop, is checked exactly before it is trusted.  Rows are
-kept primitive (gcd content divided out) and combined by
+The solver side needs two exact computations: a kernel basis (of the
+equalities of a sample cell, and of the rows a Farkas vector must
+vanish on), and the particular solutions of one small system for a
+whole batch of targets (their signs decide conic certificates).  Both
+run here on Python integers, the batched one as integer matrix
+products, and exact_product multiplies integer matrices without
+overflow, which is also how every proposed certificate is checked.
+The one float in them, a matrix rank that tells the kernel basis where
+its elimination may stop, is checked exactly before it is trusted.
+Rows are kept primitive (gcd content divided out) and combined by
 cross-multiplication; every division is exact, so no rational number
 is ever formed, and a rational value appears only as an integer
 numerator over a known positive denominator.
@@ -107,13 +107,15 @@ def kernel_matrix(rows: np.ndarray) -> np.ndarray:
     resumes over the rows not yet taken.  A kept basis spans the row
     space, whose reduced echelon form is unique, so the result is
     kernel_basis's either way.  Object rows (past GEMM_GUARD) skip the
-    proposal and are eliminated in full.
+    proposal and are eliminated in full, and so are matrices with no
+    more rows than columns, where stopping early saves less than the
+    float rank costs.
     """
     n = rows.shape[1]
     todo = rows.tolist()
     basis: RowBasis = {}
     k = 0
-    if rows.dtype != object:
+    if rows.dtype != object and len(todo) > n:
         rank = int(np.linalg.matrix_rank(rows.astype(np.float64)))
         while k < len(todo) and len(basis) < rank:
             _absorb(basis, todo[k])
@@ -241,96 +243,3 @@ def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             return A @ B
     return A.astype(object) @ B.astype(object)
 
-
-def cone_member(
-    gens: np.ndarray, target: Sequence[int]
-) -> tuple[dict[int, int], int] | None:
-    """Is target a nonnegative combination of the rows of gens?
-
-    Phase-1 revised simplex with Bland's rule.  Artificial column i is
-    sgn(target_i) e_i, so the starting basis carries |target| and is its
-    own inverse.  The basis inverse B^-1 is held as the integer matrix
-    D B^-1 with D = |det B| > 0, and the basic values as numerators over
-    D.  Pivoting on entry d_l > 0 of the entering column D B^-1 a maps
-    every other row k to (d_l row_k - d_k row_l) / D, an exact division,
-    keeps row l, and makes d_l the new D.  Ratios compare by
-    cross-multiplication and ties go to the smallest basis id, so the
-    pivots are those of the same simplex over the rationals.
-
-    Returns (num, D) with target = sum_j num[j] / D * gens[j] and every
-    num[j] > 0, or None when target lies outside the cone.  gens comes
-    from generator_matrix; pricing is one product with it per pivot,
-    in int64 while GEMM_GUARD allows and in Python integers past it.
-    """
-    m = gens.shape[0]
-    n = len(target)
-    b = [int(x) for x in target]
-    sgn = [1 if x >= 0 else -1 for x in b]
-    # generator ids are 0..m-1, artificial i has id m + i
-    basis = [m + i for i in range(n)]
-    binv = [[sgn[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    xb = [abs(x) for x in b]
-    den = 1
-    wide = gens.dtype == object
-    gmax = 0 if wide or not m else int(np.abs(gens).max())
-    gens_obj = gens if wide else None
-
-    while True:
-        art_rows = [k for k, bi in enumerate(basis) if bi >= m]
-        if not any(xb[k] for k in art_rows):
-            break  # artificial mass zero: membership certified
-        # phase-1 duals, scaled by den
-        y = [sum(binv[k][i] for k in art_rows) for i in range(n)]
-        enter = -1
-        if m:
-            if not wide and gmax * max(map(abs, y)) * n < GEMM_GUARD:
-                prices = gens @ np.array(y, dtype=np.int64)
-            else:
-                if gens_obj is None:
-                    gens_obj = gens.astype(object)
-                prices = gens_obj @ np.array(y, dtype=object)
-            held = set(basis)
-            for j in np.flatnonzero(prices > 0):
-                if j not in held:
-                    enter = int(j)
-                    break
-        if enter < 0:
-            for i in range(n):
-                if m + i not in basis and den - y[i] * sgn[i] < 0:
-                    enter = m + i
-                    break
-        if enter < 0:
-            return None  # optimum positive: target outside the cone
-        # entering column, scaled by den
-        if enter < m:
-            col = gens[enter].tolist()
-            nz = [(i, c) for i, c in enumerate(col) if c]
-            d = [sum(row[i] * c for i, c in nz) for row in binv]
-        else:
-            i = enter - m
-            d = [row[i] * sgn[i] for row in binv]
-        leave = -1
-        for k in range(n):
-            if d[k] > 0 and (
-                leave < 0
-                or xb[k] * d[leave] < xb[leave] * d[k]
-                or (
-                    xb[k] * d[leave] == xb[leave] * d[k]
-                    and basis[k] < basis[leave]
-                )
-            ):
-                leave = k
-        if leave < 0:
-            raise ArithmeticError("phase-1 objective unbounded")
-        dl = d[leave]
-        prow = binv[leave]
-        px = xb[leave]
-        for k in range(n):
-            if k != leave:
-                dk = d[k]
-                binv[k] = [(dl * a - dk * p) // den for a, p in zip(binv[k], prow)]
-                xb[k] = (dl * xb[k] - dk * px) // den
-        den = dl
-        basis[leave] = enter
-
-    return {bi: xb[k] for k, bi in enumerate(basis) if bi < m and xb[k]}, den

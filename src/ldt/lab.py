@@ -326,16 +326,15 @@ def sample_at(
     Lab-side substitute for oracle queries when the point is public.
     """
     members = list(members)
-    labels = [sign_of(v.dot(x)) for _, v in members]
-    order = sorted(
-        range(len(members)), key=lambda i: members[i][1].dot(x)
-    )
-    gaps = []
-    for a, b in zip(order, order[1:]):
-        diff = members[b][1].dot(x) - members[a][1].dot(x)
-        gaps.append(sign_of(diff))
-    assert all(g is not Sign.MINUS for g in gaps)
-    return SortedSample(members, labels, order, gaps)
+    values = [v.dot(x) for _, v in members]
+    labels = [sign_of(val) for val in values]
+    blocks: list[list[int]] = []
+    for i in sorted(range(len(members)), key=values.__getitem__):
+        if blocks and values[blocks[-1][0]] == values[i]:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    return SortedSample(members, labels, blocks)
 
 
 def inference_dimension_exact(family: Sequence[Vector], d: int) -> bool:

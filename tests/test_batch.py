@@ -5,11 +5,16 @@ the one built vector by vector, its numpy proposers (the pool program
 and the NNLS) are checked against scipy where it is installed, and
 every pool point must be exactly interior."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from ldt.geometry import Family, Sign, Vector, ground_truth_pattern
 from ldt.inference import (
@@ -39,7 +44,7 @@ from ldt.intlin import generator_matrix, kernel_basis
 from ldt.prng import SplitMix64
 from ldt.solver import SolveConfig, solve
 
-from test_intlin import cone_member_reference, support_solve_reference
+from test_intlin import cone_member_reference, cones, entries, support_solve_reference
 
 
 def _random_cell(rng, dim, n_members, width=2):
@@ -70,7 +75,8 @@ def _chain_cell_reference(sample, rows):
     (n_red, z, kernel basis columns or None, reps, chain)."""
     dim = rows.shape[1]
     vecs = [tuple(r) for r in rows.tolist()]
-    blocks, blabels = batch._split_blocks(sample)
+    blocks = sample.blocks
+    blabels = [sample.labels[blk[0]] for blk in blocks]
     zero_blocks = [i for i, lab in enumerate(blabels) if lab is Sign.ZERO]
     origin = (0,) * dim
     e_rows = []
@@ -143,7 +149,7 @@ def test_chain_cell_matches_the_vector_by_vector_reference():
         assert cc.chain.tolist() == [list(c) for c in chain]
         assert cc.chain_t.shape == (n_red, len(chain))
         assert cc.reach == _reach_reference(cc.reps)
-        seen["ties"] += Sign.ZERO in sample.gap_signs
+        seen["ties"] += any(len(blk) > 1 for blk in sample.blocks)
         seen["zero block"] += Sign.ZERO in sample.labels
         seen["no equalities"] += kb is None
         seen["huge"] += rows.dtype == object
@@ -320,8 +326,16 @@ P, Z, M = Sign.PLUS, Sign.ZERO, Sign.MINUS
     ],
 )
 def test_contradictory_answers_raise_typed_error(vectors, labels, gaps):
+    # members in the given order, gaps[i] the sign between members i
+    # and i + 1: ZERO extends a block, PLUS starts the next
     members = [(i, Vector(v)) for i, v in enumerate(vectors)]
-    sample = SortedSample(members, labels, list(range(len(members))), gaps)
+    blocks = [[0]]
+    for p, gap in enumerate(gaps, start=1):
+        if gap is Z:
+            blocks[-1].append(p)
+        else:
+            blocks.append([p])
+    sample = SortedSample(members, labels, blocks)
     cell = cell_from_sample(sample, 2)
     family, live = _with_members(cell, [Vector([1, 1])])
     with pytest.raises(InconsistentSampleError):
@@ -329,7 +343,7 @@ def test_contradictory_answers_raise_typed_error(vectors, labels, gaps):
 
 
 def test_misuse_raises_value_error():
-    sample = SortedSample([(0, Vector([1, 0]))], [P], [0], [])
+    sample = SortedSample([(0, Vector([1, 0]))], [P], [[0]])
     cell = cell_from_sample(sample, 2)
     with pytest.raises(ValueError, match="names two different vectors"):
         infer_set_batch(cell, [0], Family.of([Vector([0, 1])]))
@@ -337,7 +351,7 @@ def test_misuse_raises_value_error():
 
 def test_exact_membership_on_solved_ksum_cell(monkeypatch):
     # this planted 3-SUM n=16 solve reduces a sample cell to 2 dimensions
-    # over a long chain, and its stragglers reach the cone simplex
+    # over a long chain, and its stragglers reach the Farkas certificate
     sweeps = []
     cones = []
     support_check = batch.nonnegative_solutions
@@ -348,10 +362,10 @@ def test_exact_membership_on_solved_ksum_cell(monkeypatch):
         sweeps.append((cols.tolist(), targets.tolist(), proved.tolist()))
         return proved
 
-    def recording_cone(gens, target):
-        found = cone(gens, target)
-        cones.append((gens.tolist(), list(target), found is not None))
-        return found
+    def recording_cone(cc, target, residual):
+        verdict = cone(cc, target, residual)
+        cones.append((cc.chain.tolist(), target.tolist(), verdict))
+        return verdict
 
     monkeypatch.setattr(batch, "nonnegative_solutions", recording_support)
     monkeypatch.setattr(batch, "cone_member", recording_cone)
@@ -362,14 +376,15 @@ def test_exact_membership_on_solved_ksum_cell(monkeypatch):
     for cols, targets, proved in sweeps:
         dim = len(targets[0])
         assert proved == [support_solve_reference(cols, t, dim) for t in targets]
-    for gens, target, member in cones:
-        assert member is (cone_member_reference(gens, target) is not None)
+    for gens, target, verdict in cones:
+        assert verdict is False
+        assert cone_member_reference(gens, target) is None
 
 
 def test_exact_memberships_spend_the_budget_only_on_unproved_rows(monkeypatch):
     # nonnegative chain combinations share supports and never reach the
-    # cone simplex; every row no support proves runs it once, and every
-    # verdict is the exact one
+    # Farkas certificate; every row no support proves runs it once, and
+    # every verdict is the exact one
     rng = SplitMix64(8)
     cone = batch.cone_member
     support_check = batch.nonnegative_solutions
@@ -390,9 +405,9 @@ def test_exact_memberships_spend_the_budget_only_on_unproved_rows(monkeypatch):
         calls = []
         swept = []
 
-        def recording_cone(gens, target):
+        def recording_cone(cc, target, residual):
             calls.append(target)
-            return cone(gens, target)
+            return cone(cc, target, residual)
 
         def recording_support(cols, rows):
             proved = support_check(cols, rows)
@@ -420,6 +435,125 @@ def test_exact_memberships_skip_cells_above_the_exact_dimension(monkeypatch):
     monkeypatch.setattr(batch, "cone_member", forbidden)
     targets = generator_matrix([[1] * dim, [-1] * dim, [2] * dim], dim)
     assert batch._exact_memberships(cc, targets) == [None, None, None]
+
+
+def _farkas_verdict(gens, target, residual=None):
+    """The certificate on one cone, proposed by the exact tier's NNLS
+    unless a residual is given."""
+    cc = _cell_of_chain(gens, len(target))
+    t = generator_matrix([target], len(target))[0]
+    if residual is None:
+        _, residual = batch._nnls_support(cc, t)
+    return batch.cone_member(cc, t, residual)
+
+
+def _check_farkas_soundness(case, data):
+    gens, target = case
+    member = cone_member_reference(gens, target) is not None
+    verdict = _farkas_verdict(gens, target)
+    assert verdict is None or verdict is False
+    if verdict is False:
+        assert not member
+    event("member" if member else f"non-member, decided {verdict is False}")
+    # any vector is a sound proposal: only the exact check decides
+    residual = data.draw(
+        st.lists(
+            st.floats(min_value=-8, max_value=8),
+            min_size=len(target),
+            max_size=len(target),
+        )
+    )
+    verdict = _farkas_verdict(gens, target, np.array(residual))
+    assert verdict is None or (verdict is False and not member)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cones(), st.data())
+def test_farkas_certificate_proves_only_non_members(case, data):
+    _check_farkas_soundness(case, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones(entries=entries), st.data())
+def test_farkas_certificate_proves_only_non_members_on_huge_entries(case, data):
+    _check_farkas_soundness(case, data)
+
+
+@pytest.mark.parametrize("huge, floor", [(False, 0.99), (True, 0.3)])
+def test_farkas_certificate_decides_most_non_members(huge, floor):
+    # random cones over small entries, or with half of the entries
+    # near +-2^62, where the float fit itself often gives up
+    rng = SplitMix64(5)
+
+    def entry():
+        if huge and rng.below(2):
+            return (1 - 2 * rng.below(2)) * ((1 << 62) + rng.below(6))
+        return rng.randint(-3, 3)
+
+    outside = decided = 0
+    for _ in range(600):
+        n, m = 1 + rng.below(5), rng.below(10)
+        gens = [[entry() for _ in range(n)] for _ in range(m)]
+        target = [entry() for _ in range(n)]
+        member = cone_member_reference(gens, target) is not None
+        verdict = _farkas_verdict(gens, target)
+        assert verdict is None or (verdict is False and not member)
+        outside += not member
+        decided += verdict is False
+    assert outside > 200
+    assert decided >= floor * outside, (decided, outside)
+
+
+def test_unit_decomposition_counts_units_before_expanding():
+    # one unit list entry per unit of g: a 2^62 entry must be refused by
+    # its count, not by allocating the list
+    cc = _cell_of_chain([[1, 0], [0, 1]])
+    batch._harvest_atoms(cc)
+    assert batch._decompose_units([1 << 62, 0], cc) is False
+    assert batch._decompose_units([1, -(1 << 62)], cc) is False
+    assert batch._decompose_units([0, 0], cc) is False
+    assert batch._decompose_units([1, 0], cc) is True
+
+
+HUGE_ROWS_RUN = """
+import resource
+from fractions import Fraction
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+from ldt.geometry import Vector, ground_truth_pattern
+from ldt.oracle import HiddenPointOracle
+from ldt.prng import SplitMix64
+from ldt.solver import SolveConfig, solve
+
+rng = SplitMix64(1)
+top = 1 << 40
+rows = [Vector([rng.randint(-top, top) for _ in range(18)]) for _ in range(300)]
+secret = Vector([rng.randint(-top, top) for _ in range(18)])
+config = SolveConfig(seed=0, sample_constant=Fraction(1, 16))
+report = solve(rows, HiddenPointOracle(secret), config)
+assert report.rounds, "the solve ran no inference round"
+truth = ground_truth_pattern(rows, secret)
+assert all(report.pattern[i] is truth[i] for i in range(len(rows)))
+"""
+
+
+def test_solve_with_entries_near_two_to_the_forty_fits_in_a_gigabyte():
+    # anchored certificates of such rows once expanded every unit of
+    # every coordinate into a list and ran out of memory
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", HUGE_ROWS_RUN],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _assert_nnls_like_scipy(A, b):
@@ -487,10 +621,10 @@ def test_nnls_gives_up_past_the_iteration_cap(monkeypatch):
     assert capped > 0 and finished > 0
 
 
-def _cell_of_chain(chain):
-    """A cell whose chain is the given rows, with no equalities, the
-    origin as its lowest representative."""
-    chain = generator_matrix(chain, len(chain[0]))
+def _cell_of_chain(chain, dim=None):
+    """A cell whose chain is the given rows (over dim columns), with no
+    equalities, the origin as its lowest representative."""
+    chain = generator_matrix(chain, len(chain[0]) if dim is None else dim)
     reps = np.vstack([np.zeros_like(chain[:1]), np.cumsum(chain, axis=0)])
     return batch._ChainCell(None, reps, 0, chain)
 

@@ -23,8 +23,7 @@ def test_sorted_sample_frozen_units():
     # secret (2,1,1): values 2,1,1 -> sorted e2,e3,e1 with gaps (0, +)
     sample, oracle = _sample([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 1, 1))
     assert sample.labels == [Sign.PLUS, Sign.PLUS, Sign.PLUS]
-    assert sample.order == [1, 2, 0]
-    assert sample.gap_signs == [Sign.ZERO, Sign.PLUS]
+    assert sample.blocks == [[1, 2], [0]]
     # 3 labels, and the sort plus gaps fit the merge budget
     assert oracle.ledger.label_count == 3
     assert oracle.ledger.comparison_count <= 6
@@ -34,7 +33,8 @@ def test_sorted_sample_comparison_budget():
     secret = tuple(range(1, 18))
     vecs = [tuple(1 if j == i else 0 for j in range(17)) for i in range(17)]
     sample, oracle = _sample(vecs, secret)
-    assert [sample.members[p][0] for p in sample.order] == list(range(17))
+    order = [p for blk in sample.blocks for p in blk]
+    assert [sample.members[p][0] for p in order] == list(range(17))
     budget = 17 * math.ceil(math.log2(17)) + 16
     assert oracle.ledger.comparison_count <= budget
 
@@ -66,6 +66,14 @@ def _reference_sort(values):
     order = merge_sort(list(range(len(values))))
     gaps = [sign_of(values[b] - values[a]) for a, b in zip(order, order[1:])]
     return order, gaps
+
+
+def _order_and_gaps(blocks):
+    """The blocks flattened to one sorted order, with the gap signs of
+    sorted neighbours: ZERO inside a block, PLUS between blocks."""
+    order = [p for blk in blocks for p in blk]
+    gaps = [Sign.ZERO if k else Sign.PLUS for blk in blocks for k in range(len(blk))]
+    return order, gaps[1:]
 
 
 class _RecordingOracle(HiddenPointOracle):
@@ -104,7 +112,7 @@ def test_block_sort_matches_stable_sort(dim, value_range, size, data):
     sample = build_sorted_sample(members, oracle)
 
     assert sample.labels == [sign_of(v) for v in values]
-    assert (sample.order, sample.gap_signs) == _reference_sort(values)
+    assert _order_and_gaps(sample.blocks) == _reference_sort(values)
     label_of = {ident: lab for (ident, _), lab in zip(members, sample.labels)}
     seen = set()
     for a, b in oracle.pairs:

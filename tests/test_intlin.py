@@ -3,19 +3,20 @@
 The Fraction versions below are the reference: a row-reduced echelon
 form over the rationals, a Bareiss forward pass followed by a rational
 back-substitution, and a phase-1 revised simplex over the rationals
-for cone membership.  Inputs mix zero, duplicate and dependent rows,
-negative entries, and entries of 2^62 or more.
+for cone membership, the reference the batch engine's Farkas
+certificate is checked against in test_batch.  Inputs mix zero,
+duplicate and dependent rows, negative entries, and entries of 2^62 or
+more.
 """
 
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 from ldt import intlin
 from ldt.intlin import (
     GEMM_GUARD,
-    cone_member,
     exact_product,
     generator_matrix,
     kernel_basis,
@@ -341,22 +342,6 @@ def cone_member_reference(generators, target):
     return {bi: xb[k] for k, bi in enumerate(basis) if bi < m and xb[k]}
 
 
-def _int_cone(gens, target):
-    """intlin.cone_member with its coefficients as Fractions."""
-    found = cone_member(generator_matrix(gens, len(target)), target)
-    if found is None:
-        return None
-    num, den = found
-    assert den > 0
-    return {j: Fraction(c, den) for j, c in num.items()}
-
-
-def _check_combination(coeffs, gens, target):
-    assert all(c > 0 for c in coeffs.values())
-    for i in range(len(target)):
-        assert sum(c * gens[j][i] for j, c in coeffs.items()) == target[i]
-
-
 small = st.integers(min_value=-3, max_value=3)
 
 
@@ -389,40 +374,6 @@ def cones(draw, entries=small):
     else:
         target = draw(st.lists(entries, min_size=n, max_size=n))
     return gens, target
-
-
-@settings(max_examples=400, deadline=None)
-@given(cones())
-# degenerate: the zero coordinates of the target tie the first ratio
-# tests, so the coefficients depend on the tie-break
-@example(([[2, 1, 0], [-2, 2, 1], [-2, 1, 2], [2, -2, 1]], [0, 0, 1]))
-def test_cone_member_matches_fraction_simplex(case):
-    gens, target = case
-    expected = cone_member_reference(gens, target)
-    got = _int_cone(gens, target)
-    assert got == expected
-    if got is not None:
-        _check_combination(got, gens, target)
-
-
-@settings(max_examples=200, deadline=None)
-@given(cones(entries=entries))
-def test_cone_member_matches_fraction_simplex_on_huge_entries(case):
-    # entries of 2^62 or more force Python-integer pricing
-    gens, target = case
-    assert (generator_matrix(gens, len(target)).dtype == object) is any(
-        abs(a) >= HUGE for g in gens for a in g
-    )
-    got = _int_cone(gens, target)
-    assert got == cone_member_reference(gens, target)
-    if got is not None:
-        _check_combination(got, gens, target)
-
-
-def test_cone_member_empty_generators_and_zero_target():
-    assert _int_cone([], [0, 0]) == {}
-    assert _int_cone([], [1, 0]) is None
-    assert _int_cone([[0, 0]], [0, 1]) is None
 
 
 def _product_reference(A, B):
