@@ -17,17 +17,14 @@ from .geometry import (
     inner_product,
     sign_of,
 )
+from .batch import ChainCell, cell_from_sample, infer_set
 from .inference import (
-    CellDescription,
     InconsistentSampleError,
     InferenceOutcome,
     SortedSample,
     build_sorted_sample,
-    cell_from_sample,
-    infer_set,
-    infer_sign,
 )
-from .lp import HomogeneousSystem, feasible, interior_witness
+from .lp import HomogeneousSystem, RationalCell, feasible, infer_sign, interior_witness
 from .oracle import HiddenPointOracle, QueryLedger, StrictModeViolation
 from .problems import (
     Encoding,
@@ -45,7 +42,7 @@ from .prng import SplitMix64
 from .solver import SolveConfig, SolveReport, SolverStalledError, decide, solve
 
 __all__ = [
-    "CellDescription",
+    "ChainCell",
     "Encoding",
     "Family",
     "HiddenPointOracle",
@@ -56,6 +53,7 @@ __all__ = [
     "InstanceFormatError",
     "QueryLedger",
     "Rational",
+    "RationalCell",
     "Sign",
     "SignVector",
     "SizeCapError",

@@ -36,11 +36,13 @@ cell and the live rows by it, screen them against the pool and check
 every Farkas vector (exact_product, int64 while the sums fit), and the
 batched support solves that verify least-squares proposals.
 
-The live set arrives as row indices into one geometry.Family, whose
-integer matrix (rational families scaled by a common denominator)
-supplies both the sample's member rows and the rows to decide, so
-every family takes this integer engine.  Each tier works on the whole
-live matrix at once, and the result is returned as arrays.
+A round makes two calls: cell_from_sample builds the reduced cell from
+the sorted sample, and infer_set decides the live rows against it.
+Both read one geometry.Family, whose integer matrix (rational families
+scaled by a common denominator) supplies the sample's member rows and
+the rows to decide, so every family takes this integer engine.  Each
+tier works on the whole live matrix at once, and the result is
+returned as arrays.
 """
 
 from __future__ import annotations
@@ -53,11 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Family, Sign, SignVector
-from .inference import (
-    CellDescription,
-    InconsistentSampleError,
-    InferenceOutcome,
-)
+from .inference import InconsistentSampleError, InferenceOutcome, SortedSample
 from .intlin import (
     exact_product,
     hash_weights,
@@ -68,7 +66,6 @@ from .intlin import (
 
 _POOL_TARGET = 64
 _ANCHOR_TRIES = 48
-_PAIR_ANCHORS = 8
 _FAST_ANCHORS = 40
 _UNIT_CAP = 12
 _EXACT_LP_DIM = 16
@@ -78,7 +75,7 @@ _NNLS_ITERS_PER_COLUMN = 3
 
 
 @dataclass
-class _ChainCell:
+class ChainCell:
     """Reduced, integer view of a sample cell.
 
     KB (n x n_red) holds the kernel basis of the equalities as columns,
@@ -86,12 +83,14 @@ class _ChainCell:
     full one.  reps holds the reduced block representatives in sorted
     order, the origin at row z, and chain their consecutive
     differences; chain_t is its float transpose, the NNLS's matrix.
+    sample is the sorted sample the cell was built from.
     """
 
     KB: np.ndarray | None
     reps: np.ndarray
     z: int
     chain: np.ndarray
+    sample: SortedSample | None = field(default=None, repr=False)
     chain_t: np.ndarray = field(init=False)
     reach: list[int] = field(default_factory=list)
     anchors: list[list[int]] = field(default_factory=list)
@@ -106,8 +105,16 @@ class _ChainCell:
         return self.reps.shape[1]
 
 
-def _chain_cell(sample, rows: np.ndarray) -> _ChainCell:
-    """Build the reduced cell from the member rows, one per member."""
+def cell_from_sample(sample: SortedSample, family: Family) -> ChainCell:
+    """The reduced cell a sorted sample pins down.
+
+    The sample's member identifiers index family, whose matrix supplies
+    the member rows; a member whose vector is not its row is refused.
+    """
+    rows = family.rows[[ident for ident, _ in sample.members]]
+    for (ident, v), row in zip(sample.members, rows.tolist()):
+        if family.row_of(v) != tuple(row):
+            raise ValueError(f"identifier {ident} names two different vectors")
     dim = rows.shape[1]
     blocks = sample.blocks
     labels = sample.labels
@@ -149,13 +156,13 @@ def _chain_cell(sample, rows: np.ndarray) -> _ChainCell:
     chain = reps[1:] - reps[:-1]
     if not chain.any(axis=1).all():
         raise InconsistentSampleError("a strict gap lies in the span of the equalities")
-    cc = _ChainCell(KB, reps, z, chain)
+    cc = ChainCell(KB, reps, z, chain, sample)
     _harvest_atoms(cc)
     _collect_anchors(cc)
     return cc
 
 
-def _harvest_atoms(cc: _ChainCell) -> None:
+def _harvest_atoms(cc: ChainCell) -> None:
     """Mine strict coordinate comparisons from equal block differences.
 
     Two blocks whose reduced representatives differ by e_c - e_d pin the
@@ -217,7 +224,7 @@ def _harvest_atoms(cc: _ChainCell) -> None:
     cc.reach = reach
 
 
-def _collect_anchors(cc: _ChainCell) -> None:
+def _collect_anchors(cc: ChainCell) -> None:
     """Cone anchors ordered by distance from the zero block."""
     cc.above_raw = above = cc.reps[cc.z + 1:].tolist()
     cc.below_raw = cc.reps[:cc.z][::-1].tolist()
@@ -298,7 +305,7 @@ def linprog(A: np.ndarray) -> tuple[np.ndarray, float]:
     return z[:n], float(z[-1])
 
 
-def _build_pool(cc: _ChainCell) -> np.ndarray:
+def _build_pool(cc: ChainCell) -> np.ndarray:
     """Exact integer points interior to the reduced cell, as columns.
 
     A max-margin float program (linprog) proposes one point, rounded to
@@ -340,7 +347,7 @@ def _build_pool(cc: _ChainCell) -> np.ndarray:
     return np.hstack([seed[:, None], nudged[:, inside]])[:, :_POOL_TARGET]
 
 
-def _decompose_units(g: Sequence[int], cc: _ChainCell) -> bool:
+def _decompose_units(g: Sequence[int], cc: ChainCell) -> bool:
     """Ground every unit of g on a harvested strict comparison.
 
     g splits into +e_c and -e_d units; each positive unit needs either
@@ -394,19 +401,13 @@ def _decompose_units(g: Sequence[int], cc: _ChainCell) -> bool:
     return ok(0, 0)
 
 
-def _anchored_cert(target: list[int], cc: _ChainCell) -> bool:
+def _anchored_cert(target: list[int], cc: ChainCell) -> bool:
     """Conic decomposition of target using anchors plus unit atoms."""
     if _decompose_units(target, cc):
         return True
     for a in cc.anchors[:_ANCHOR_TRIES]:
         if _decompose_units([t - x for t, x in zip(target, a)], cc):
             return True
-    head = cc.anchors[:_PAIR_ANCHORS]
-    for i in range(len(head)):
-        for j in range(i, len(head)):
-            g = [t - x - y for t, x, y in zip(target, head[i], head[j])]
-            if _decompose_units(g, cc):
-                return True
     return False
 
 
@@ -471,7 +472,7 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _nnls_support(
-    cc: _ChainCell, target: np.ndarray
+    cc: ChainCell, target: np.ndarray
 ) -> tuple[list[int] | None, np.ndarray]:
     """A nonnegative least-squares fit of target by the chain rows: the
     rows it puts weight on, if the fit is exact enough and uses at most
@@ -486,7 +487,7 @@ def _nnls_support(
 
 
 def cone_member(
-    cc: _ChainCell, target: np.ndarray, residual: np.ndarray
+    cc: ChainCell, target: np.ndarray, residual: np.ndarray
 ) -> bool | None:
     """False when target provably lies outside the cone of the chain
     rows, None when no proof was found.  This only ever proves
@@ -525,7 +526,7 @@ def cone_member(
     return None
 
 
-def _exact_memberships(cc: _ChainCell, targets: np.ndarray) -> list[bool | None]:
+def _exact_memberships(cc: ChainCell, targets: np.ndarray) -> list[bool | None]:
     """Is each row of targets in the chain cone?  True and False are
     exact answers; None leaves the row open, and is every verdict when
     n_red exceeds _EXACT_LP_DIM.
@@ -560,7 +561,7 @@ def _exact_memberships(cc: _ChainCell, targets: np.ndarray) -> list[bool | None]
 
 
 def _fast_uniform_certs(
-    cc: _ChainCell,
+    cc: ChainCell,
     Hred: np.ndarray,
     cand_plus: np.ndarray,
     cand_minus: np.ndarray,
@@ -642,27 +643,22 @@ def _fast_uniform_certs(
         signs[chosen] = -1
 
 
-def infer_set_batch(
-    cell: CellDescription, live: Sequence[int], family: Family
-) -> InferenceOutcome:
-    """Decide every row of family indexed by live against the sample cell."""
+def infer_set(cell: ChainCell, live: Sequence[int], family: Family) -> InferenceOutcome:
+    """Decide every row of family indexed by live against the cell.
+
+    family is the one the cell was built from.  Sample members keep
+    their queried labels; the tiers decide the rest.
+    """
     sample = cell.sample
     live = np.asarray(live, dtype=np.intp)
-    mids = [ident for ident, _ in sample.members]
-    member_rows = family.rows[mids]
-    for (ident, v), row in zip(sample.members, member_rows.tolist()):
-        if family.row_of(v) != tuple(row):
-            raise ValueError(f"identifier {ident} names two different vectors")
-
-    # sample members keep their queried labels; 2 marks the other rows
+    # 2 marks the rows outside the sample
     queried = np.full(len(family), 2, dtype=np.int8)
-    queried[mids] = [int(lab) for lab in sample.labels]
+    queried[[ident for ident, _ in sample.members]] = [int(lab) for lab in sample.labels]
     signs = queried[live]
     done = signs != 2
     rest = np.flatnonzero(~done)
     if rest.size:
-        cc = _chain_cell(sample, member_rows)
-        rest_signs, rest_done = _decide_rows(cc, family.rows[live[rest]])
+        rest_signs, rest_done = _decide_rows(cell, family.rows[live[rest]])
         signs[rest] = rest_signs
         done[rest] = rest_done
     return InferenceOutcome(
@@ -670,7 +666,7 @@ def infer_set_batch(
     )
 
 
-def _decide_rows(cc: _ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signs (-1, 0, 1, as int8) of the rows of Hfull over the cell, and
     which of them are settled."""
     N = len(Hfull)

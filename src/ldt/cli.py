@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from .geometry import parse_rational
@@ -102,72 +103,39 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         sample_constant=parse_rational(args.sample_constant),
     )
     start = time.perf_counter()
-    if enc.family:
-        report = solve(enc.family, oracle, config)
-        answer = extract_answer(enc, report.pattern)
-    else:
-        # nothing to compare means nothing can vanish
-        report = None
-        answer = False
+    # nothing to compare means nothing can vanish
+    report = solve(enc.family, oracle, config) if enc.family else None
+    answer = extract_answer(enc, report.pattern) if report else False
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     if args.log_queries is not None:
         with open(args.log_queries, "w", encoding="utf-8") as fp:
             oracle.ledger.export_jsonl(fp)
 
-    if report is None:
-        payload = {
-            "schema": SCHEMA,
-            "command": "solve",
-            "problem": enc.kind,
-            "parameters": {
-                "seed": args.seed,
-                "sample_constant": args.sample_constant,
-                "strict_comparison": args.strict_comparison,
-            },
-            "family_size": 0,
-            "dim": enc.dim,
-            "answer": _serialize_answer(answer),
-            "queries": {"label": 0, "comparison": 0, "total": 0},
-            "rounds": [],
-            "final_labels": 0,
-            "d_estimate": 0,
-            "sample_target": 0,
-            "wall_time_ms": wall_ms,
-        }
-    else:
-        payload = {
-            "schema": SCHEMA,
-            "command": "solve",
-            "problem": enc.kind,
-            "parameters": {
-                "seed": args.seed,
-                "sample_constant": args.sample_constant,
-                "strict_comparison": args.strict_comparison,
-            },
-            "family_size": report.family_size,
-            "dim": report.dim,
-            "answer": _serialize_answer(answer),
-            "queries": {
-                "label": report.label_queries,
-                "comparison": report.comparison_queries,
-                "total": report.total_queries,
-            },
-            "rounds": [
-                {
-                    "live_before": r.live_before,
-                    "sample_size": r.sample_size,
-                    "inferred": r.inferred,
-                    "label_queries": r.label_queries,
-                    "comparison_queries": r.comparison_queries,
-                }
-                for r in report.rounds
-            ],
-            "final_labels": report.final_labels,
-            "d_estimate": report.d_estimate,
-            "sample_target": report.sample_target,
-            "wall_time_ms": wall_ms,
-        }
+    labels, comparisons = oracle.ledger.snapshot()
+    payload = {
+        "schema": SCHEMA,
+        "command": "solve",
+        "problem": enc.kind,
+        "parameters": {
+            "seed": args.seed,
+            "sample_constant": args.sample_constant,
+            "strict_comparison": args.strict_comparison,
+        },
+        "family_size": len(enc.family),
+        "dim": enc.dim,
+        "answer": _serialize_answer(answer),
+        "queries": {
+            "label": labels,
+            "comparison": comparisons,
+            "total": labels + comparisons,
+        },
+        "rounds": [asdict(r) for r in report.rounds] if report else [],
+        "final_labels": report.final_labels if report else 0,
+        "d_estimate": report.d_estimate if report else 0,
+        "sample_target": report.sample_target if report else 0,
+        "wall_time_ms": wall_ms,
+    }
 
     if args.json:
         print(json.dumps(payload, sort_keys=True))

@@ -16,10 +16,11 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .geometry import Family, Sign, Vector, sign_of
-from .inference import SortedSample, cell_from_sample, infer_set, infer_sign
-from .lp import HomogeneousSystem, feasible, interior_witness
+from .inference import SortedSample
+from .lp import HomogeneousSystem, RationalCell, feasible, infer_sign, interior_witness
 from .problems import SizeCapError
 from .prng import SplitMix64
+from .solver import cell_from_sample, infer_set
 
 FM_DIM_CAP = 4
 FM_ROW_CAP = 10
@@ -377,8 +378,7 @@ def inference_dimension_exact(family: Sequence[Vector], d: int) -> bool:
                         ok = True
                         break
                     continue
-                sample = sample_at(rest, witness)
-                cell = cell_from_sample(sample, dim)
+                cell = RationalCell(sample_at(rest, witness), dim)
                 if infer_sign(cell, svecs[drop]) is not None:
                     ok = True
                     break
@@ -568,12 +568,13 @@ def crosscheck_inference(trials: int, seed: int = 0) -> tuple[int, int]:
         size = min(m, 2 + rng.below(3))
         members = [(i, family[i]) for i in range(size)]
         sample = sample_at(members, x)
-        cell = cell_from_sample(sample, dim)
-        outcome = infer_set(cell, range(m), Family.of(family))
+        rows = Family.of(family)
+        outcome = infer_set(cell_from_sample(sample, rows), range(m), rows)
+        ref = RationalCell(sample, dim)
 
         good = True
         for i, h in enumerate(family):
-            base = cell.constraints
+            base = ref.constraints
             can_plus = fm_feasible(base.augmented(strict=[h]))
             can_minus = fm_feasible(base.augmented(strict=[-h]))
             can_zero = fm_feasible(base.augmented(equalities=[h]))
@@ -588,7 +589,7 @@ def crosscheck_inference(trials: int, seed: int = 0) -> tuple[int, int]:
             ]
             expected = achievable[0] if len(achievable) == 1 else None
             fast = outcome.inferred.get(i)
-            slow = infer_sign(cell, h)
+            slow = infer_sign(ref, h)
             if fast != expected or slow != expected:
                 good = False
         if good:

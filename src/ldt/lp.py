@@ -6,15 +6,27 @@ by maximising a slack t with <v,x> >= t on every strict row inside the
 box -1 <= x_j <= 1; the system is feasible exactly when the optimum is
 positive.  All pivoting is exact rational simplex with Bland's rule, so
 termination and soundness are unconditional.
+
+On top of it sits the Fraction reference for sign inference, which the
+tests and lab cross-check the batched engine against; no solve runs
+it.  RationalCell holds the cell a sorted sample pins down as one
+system: one row per member label, one per consecutive sorted pair.
+Transitivity makes this exact: every pairwise comparison inside the
+sample is a nonnegative combination of consecutive gaps, so the
+reduced system carves the same cell as the full quadratic one.
+infer_sign decides one hyperplane against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .geometry import Vector
+from .geometry import Sign, Vector, sign_of
+
+if TYPE_CHECKING:
+    from .inference import SortedSample
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -224,3 +236,66 @@ def interior_witness(system: HomogeneousSystem) -> Vector | None:
         return witness
     return None
 
+
+
+def _sample_system(sample: SortedSample, dim: int) -> HomogeneousSystem:
+    strict: list[Vector] = []
+    equalities: list[Vector] = []
+    for (_, v), lab in zip(sample.members, sample.labels):
+        if lab is Sign.PLUS:
+            strict.append(v)
+        elif lab is Sign.MINUS:
+            strict.append(-v)
+        else:
+            equalities.append(v)
+    # sorted neighbours differ by an equality inside a block and by a
+    # strict gap from one block to the next
+    lo = None
+    for blk in sample.blocks:
+        for k, p in enumerate(blk):
+            hi = sample.members[p][1]
+            if lo is not None:
+                (equalities if k else strict).append(hi - lo)
+            lo = hi
+    return HomogeneousSystem(dim, strict=tuple(strict), equalities=tuple(equalities))
+
+
+class RationalCell:
+    """The cell a sorted sample pins down, as one rational system.
+
+    constraints holds one row per member label and one per consecutive
+    gap; witness is an interior point of the cell, computed once, or
+    None when the cell is empty.
+    """
+
+    def __init__(self, sample: SortedSample, dim: int) -> None:
+        self.constraints = _sample_system(sample, dim)
+        self.witness = interior_witness(self.constraints)
+
+
+def infer_sign(cell: RationalCell, h: Vector) -> Sign | None:
+    """Sign of h over the whole cell, or None when both signs occur.
+
+    The candidate sign is read off at the interior witness; it stands
+    exactly when every alternative sign is infeasible against the cell.
+    """
+    if h.is_zero():
+        return Sign.ZERO
+    w = cell.witness
+    if w is None:
+        raise ValueError("cell is empty; it cannot have come from a real sample")
+    b = sign_of(h.dot(w))
+    base = cell.constraints
+    if b is Sign.PLUS:
+        if not feasible(base.augmented(weak=[-h])):
+            return Sign.PLUS
+        return None
+    if b is Sign.MINUS:
+        if not feasible(base.augmented(weak=[h])):
+            return Sign.MINUS
+        return None
+    if not feasible(base.augmented(strict=[h])) and not feasible(
+        base.augmented(strict=[-h])
+    ):
+        return Sign.ZERO
+    return None

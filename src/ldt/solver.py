@@ -29,18 +29,22 @@ from typing import Sequence
 
 import numpy as np
 
+from .batch import cell_from_sample, infer_set
 from .geometry import Family, SignVector, Vector
-from .inference import build_sorted_sample, cell_from_sample, infer_set
+from .inference import build_sorted_sample
 from .intlin import hash_weights, repeated
 from .oracle import HiddenPointOracle
 from .prng import SplitMix64
+
+# a round retires a constant fraction of the live set in expectation,
+# so a solve that runs this many has stalled
+_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int = 0
     sample_constant: Fraction = Fraction(2)
-    max_rounds: int = 64
 
 
 class SolverStalledError(RuntimeError):
@@ -152,15 +156,13 @@ def solve(
     rng = SplitMix64(config.seed)
     rounds: list[RoundStats] = []
     while live.size and s_target > 0 and live.size >= s_target:
-        if len(rounds) >= config.max_rounds:
-            raise SolverStalledError(
-                f"no resolution after {config.max_rounds} rounds"
-            )
+        if len(rounds) >= _MAX_ROUNDS:
+            raise SolverStalledError(f"no resolution after {_MAX_ROUNDS} rounds")
         mark = oracle.ledger.snapshot()
         live_before = live.size
         picks = live[rng.sample_indices(live.size, s_target)].tolist()
         ss = build_sorted_sample(list(zip(picks, family.members(picks))), oracle)
-        cell = cell_from_sample(ss, n)
+        cell = cell_from_sample(ss, family)
         outcome = infer_set(cell, live, family)
         ids, inferred = outcome.inferred.arrays()
         if not np.isin(picks, ids).all():

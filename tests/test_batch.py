@@ -1,5 +1,5 @@
 """The batched inference engine must agree with the one-at-a-time
-simplex route on every hyperplane: same inferred signs, same
+rational simplex route (lp.infer_sign) on every hyperplane: same inferred signs, same
 undetermined set, across random cells.  Its integer cell must equal
 the one built vector by vector, its numpy proposers (the pool program
 and the NNLS) are checked against scipy where it is installed, and
@@ -17,16 +17,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from ldt.geometry import Family, Sign, Vector, ground_truth_pattern
-from ldt.inference import (
-    InconsistentSampleError,
-    SortedSample,
-    build_sorted_sample,
-    cell_from_sample,
-    infer_set,
-    infer_sign,
-)
+from ldt.inference import InconsistentSampleError, SortedSample, build_sorted_sample
 from ldt import batch
-from ldt.batch import infer_set_batch
+from ldt.batch import cell_from_sample, infer_set
+from ldt.lp import RationalCell, infer_sign
 from ldt.oracle import HiddenPointOracle
 from ldt.problems import (
     encode_kldt,
@@ -58,16 +52,16 @@ def _random_cell(rng, dim, n_members, width=2):
         seen.add(v.coords)
         members.append((len(members), v))
     oracle = HiddenPointOracle(secret)
-    sample = build_sorted_sample(members, oracle)
-    return cell_from_sample(sample, dim), secret, seen
+    return build_sorted_sample(members, oracle), secret, seen
 
 
-def _with_members(cell, vectors):
+def _with_members(sample, vectors):
     """The sample members (identifiers 0..k-1) followed by vectors, as one
-    family, and the row indices of vectors in it."""
-    members = [v for _, v in cell.sample.members]
+    family, the row indices of vectors in it, and the engine's cell."""
+    members = [v for _, v in sample.members]
     k = len(members)
-    return Family.of(members + list(vectors)), list(range(k, k + len(vectors)))
+    family = Family.of(members + list(vectors))
+    return family, list(range(k, k + len(vectors))), cell_from_sample(sample, family)
 
 
 def _chain_cell_reference(sample, rows):
@@ -134,12 +128,13 @@ def test_chain_cell_matches_the_vector_by_vector_reference():
     for secret, vecs in _sample_cases():
         members = [(i, Vector(v)) for i, v in enumerate(vecs)]
         sample = build_sorted_sample(members, HiddenPointOracle(Vector(secret)))
-        rows = Family.of(v for _, v in members).rows
+        family = Family.of(v for _, v in members)
+        rows = family.rows
         try:
             n_red, z, kb, reps, chain = _chain_cell_reference(sample, rows)
         except InconsistentSampleError:
             continue
-        cc = batch._chain_cell(sample, rows)
+        cc = cell_from_sample(sample, family)
         assert (cc.n_red, cc.z) == (n_red, z)
         assert (cc.KB is None) is (kb is None)
         if kb is not None:
@@ -206,7 +201,7 @@ def test_hashed_harvest_matches_the_dict_reference(monkeypatch):
         reps[:, :1] += 1 << 63
 
     def harvest(reps):
-        cc = batch._ChainCell(None, reps, 0, reps[1:] - reps[:-1])
+        cc = batch.ChainCell(None, reps, 0, reps[1:] - reps[:-1])
         batch._harvest_atoms(cc)
         return cc.reach
 
@@ -227,12 +222,13 @@ def test_engine_agrees_with_simplex_route():
     rng = SplitMix64(42)
     for _ in range(60):
         dim = 2 + rng.below(3)
-        cell, secret, used = _random_cell(rng, dim, 2 + rng.below(3))
+        sample, secret, used = _random_cell(rng, dim, 2 + rng.below(3))
         vecs = [Vector([rng.randint(-2, 2) for _ in range(dim)]) for _ in range(6)]
-        family, live = _with_members(cell, vecs)
-        batch_out = infer_set_batch(cell, live, family)
+        family, live, cell = _with_members(sample, vecs)
+        batch_out = infer_set(cell, live, family)
+        ref = RationalCell(sample, dim)
         for ident, v in zip(live, vecs):
-            slow = infer_sign(cell, v)
+            slow = infer_sign(ref, v)
             if slow is None:
                 assert ident in batch_out.undetermined
             else:
@@ -243,10 +239,10 @@ def test_engine_never_contradicts_hidden_point():
     rng = SplitMix64(17)
     for _ in range(40):
         dim = 2 + rng.below(3)
-        cell, secret, _ = _random_cell(rng, dim, 3)
+        sample, secret, _ = _random_cell(rng, dim, 3)
         vecs = [Vector([rng.randint(-3, 3) for _ in range(dim)]) for _ in range(8)]
-        family, live = _with_members(cell, vecs)
-        out = infer_set_batch(cell, live, family)
+        family, live, cell = _with_members(sample, vecs)
+        out = infer_set(cell, live, family)
         for ident, v in zip(live, vecs):
             got = out.inferred.get(ident)
             if got is not None:
@@ -267,8 +263,8 @@ def test_regression_open_cone_overclaim():
     secret = Vector([Fraction(-1), Fraction(-7), Fraction(7)])
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample([(i, v) for i, v in enumerate(family)], oracle)
-    cell = cell_from_sample(sample, 3)
-    out = infer_set_batch(cell, [3], Family.of(family + [Vector([-2, -1, 2])]))
+    family, live, cell = _with_members(sample, [Vector([-2, -1, 2])])
+    out = infer_set(cell, live, family)
     assert out.undetermined.tolist() == [3]
 
 
@@ -278,9 +274,8 @@ def test_zero_combination_inferred_without_queries():
     members = [(0, Vector([1, 0, 0])), (1, Vector([0, 1, 0]))]
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample(members, oracle)
-    cell = cell_from_sample(sample, 3)
-    family, live = _with_members(cell, [Vector([3, -3, 0])])
-    out = infer_set_batch(cell, live, family)
+    family, live, cell = _with_members(sample, [Vector([3, -3, 0])])
+    out = infer_set(cell, live, family)
     assert out.inferred[2] is Sign.ZERO
 
 
@@ -290,10 +285,9 @@ def test_huge_coordinates_take_exact_path():
     members = [(0, Vector([1, 0])), (1, Vector([0, 1]))]
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample(members, oracle)
-    cell = cell_from_sample(sample, 2)
     targets = [Vector([big, big]), Vector([1, -1]), Vector([-big, 0])]
-    family, live = _with_members(cell, targets)
-    out = infer_set_batch(cell, live, family)
+    family, live, cell = _with_members(sample, targets)
+    out = infer_set(cell, live, family)
     assert out.inferred[2] is Sign.PLUS
     assert out.inferred[3] is Sign.PLUS
     assert out.inferred[4] is Sign.MINUS
@@ -303,11 +297,11 @@ def test_sample_members_always_resolved():
     rng = SplitMix64(23)
     for _ in range(20):
         dim = 2 + rng.below(2)
-        cell, _, _ = _random_cell(rng, dim, 3)
-        family, _ = _with_members(cell, [])
-        out = infer_set_batch(cell, range(len(family)), family)
+        sample, _, _ = _random_cell(rng, dim, 3)
+        family, _, cell = _with_members(sample, [])
+        out = infer_set(cell, range(len(family)), family)
         assert not out.undetermined.size
-        for (ident, _), lab in zip(cell.sample.members, cell.sample.labels):
+        for (ident, _), lab in zip(sample.members, sample.labels):
             assert out.inferred[ident] is lab
 
 
@@ -336,17 +330,14 @@ def test_contradictory_answers_raise_typed_error(vectors, labels, gaps):
         else:
             blocks.append([p])
     sample = SortedSample(members, labels, blocks)
-    cell = cell_from_sample(sample, 2)
-    family, live = _with_members(cell, [Vector([1, 1])])
     with pytest.raises(InconsistentSampleError):
-        infer_set_batch(cell, live, family)
+        _with_members(sample, [Vector([1, 1])])
 
 
 def test_misuse_raises_value_error():
     sample = SortedSample([(0, Vector([1, 0]))], [P], [[0]])
-    cell = cell_from_sample(sample, 2)
     with pytest.raises(ValueError, match="names two different vectors"):
-        infer_set_batch(cell, [0], Family.of([Vector([0, 1])]))
+        cell_from_sample(sample, Family.of([Vector([0, 1])]))
 
 
 def test_exact_membership_on_solved_ksum_cell(monkeypatch):
@@ -390,9 +381,8 @@ def test_exact_memberships_spend_the_budget_only_on_unproved_rows(monkeypatch):
     support_check = batch.nonnegative_solutions
     for _ in range(30):
         dim = 3 + rng.below(2)
-        cell, _, _ = _random_cell(rng, dim, 6)
-        members = Family.of(v for _, v in cell.sample.members)
-        cc = batch._chain_cell(cell.sample, members.rows)
+        sample, _, _ = _random_cell(rng, dim, 6)
+        _, _, cc = _with_members(sample, [])
         nr = cc.n_red
         chain = cc.chain.tolist()
         targets = []
@@ -626,7 +616,7 @@ def _cell_of_chain(chain, dim=None):
     equalities, the origin as its lowest representative."""
     chain = generator_matrix(chain, len(chain[0]) if dim is None else dim)
     reps = np.vstack([np.zeros_like(chain[:1]), np.cumsum(chain, axis=0)])
-    return batch._ChainCell(None, reps, 0, chain)
+    return batch.ChainCell(None, reps, 0, chain)
 
 
 def _exact_interior(C, Y):
@@ -720,9 +710,8 @@ def test_pool_program_margin_is_near_optimal():
     checked = 0
     for _ in range(30):
         dim = 2 + rng.below(3)
-        cell, _, _ = _random_cell(rng, dim, 6)
-        members = Family.of(v for _, v in cell.sample.members)
-        cc = batch._chain_cell(cell.sample, members.rows)
+        sample, _, _ = _random_cell(rng, dim, 6)
+        _, _, cc = _with_members(sample, [])
         if not len(cc.chain):
             continue
         C = cc.chain_t.T

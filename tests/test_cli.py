@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -41,6 +42,25 @@ def test_solve_json_reproducible_modulo_walltime(ksum_file, capsys):
         del payload["wall_time_ms"]
         outs.append(json.dumps(payload, sort_keys=True))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_solve_json_of_an_empty_family_is_pinned(tmp_path, capsys):
+    # a graph with no triangle encodes to no hyperplanes: nothing is
+    # queried, and the answer is False
+    p = tmp_path / "tri.txt"
+    p.write_text("3\n1 2 5\n2 3 -5\n")
+    assert main(["solve", "triangles", "--input", str(p), "--json"]) == 0
+    out = capsys.readouterr().out
+    wall = re.search(r'"wall_time_ms": ([^,}]+)', out)
+    assert float(wall.group(1)) >= 0
+    assert out[: wall.start(1)] + "W" + out[wall.end(1) :] == (
+        '{"answer": false, "command": "solve", "d_estimate": 0, "dim": 2,'
+        ' "family_size": 0, "final_labels": 0, "parameters":'
+        ' {"sample_constant": "2", "seed": 0, "strict_comparison": false},'
+        ' "problem": "triangles", "queries": {"comparison": 0, "label": 0,'
+        ' "total": 0}, "rounds": [], "sample_target": 0, "schema": 1,'
+        ' "wall_time_ms": W}\n'
+    )
 
 
 def test_solve_sortab_groups(tmp_path, capsys):

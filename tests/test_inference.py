@@ -3,13 +3,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from ldt.batch import cell_from_sample, infer_set
 from ldt.geometry import Family, Sign, SignVector, Vector, sign_of
-from ldt.inference import (
-    build_sorted_sample,
-    cell_from_sample,
-    infer_set,
-    infer_sign,
-)
+from ldt.inference import build_sorted_sample
+from ldt.lp import RationalCell, infer_sign
 from ldt.oracle import HiddenPointOracle
 
 
@@ -127,8 +124,7 @@ def test_block_sort_matches_stable_sort(dim, value_range, size, data):
 
 def test_cell_pins_witness_signs():
     sample, _ = _sample([(1, 0), (0, 1)], (3, 1))
-    cell = cell_from_sample(sample, 2)
-    w = cell.witness()
+    w = RationalCell(sample, 2).witness
     assert w is not None
     assert w.dot(Vector([1, 0])) > 0
     assert w.dot(Vector([0, 1])) > 0
@@ -138,7 +134,7 @@ def test_cell_pins_witness_signs():
 def test_infer_sign_from_order():
     # secret (3,1): sample pins x1 > x2 > 0, so x1 - x2 > 0, x1 + x2 > 0
     sample, _ = _sample([(1, 0), (0, 1)], (3, 1))
-    cell = cell_from_sample(sample, 2)
+    cell = RationalCell(sample, 2)
     assert infer_sign(cell, Vector([1, -1])) is Sign.PLUS
     assert infer_sign(cell, Vector([1, 1])) is Sign.PLUS
     assert infer_sign(cell, Vector([1, -2])) is None  # sign varies over the cell
@@ -148,7 +144,7 @@ def test_infer_sign_from_order():
 def test_infer_sign_zero_from_equalities():
     # secret (1,1): e1 = e2 forces sign(e1 - e2) = 0
     sample, _ = _sample([(1, 0), (0, 1)], (1, 1))
-    cell = cell_from_sample(sample, 2)
+    cell = RationalCell(sample, 2)
     assert infer_sign(cell, Vector([1, -1])) is Sign.ZERO
     assert infer_sign(cell, Vector([2, -2])) is Sign.ZERO
     assert infer_sign(cell, Vector([1, 1])) is Sign.PLUS
@@ -156,7 +152,7 @@ def test_infer_sign_zero_from_equalities():
 
 def test_infer_sign_minus():
     sample, _ = _sample([(1, 0), (0, 1)], (-2, -5))
-    cell = cell_from_sample(sample, 2)
+    cell = RationalCell(sample, 2)
     assert infer_sign(cell, Vector([1, 1])) is Sign.MINUS
 
 
@@ -164,7 +160,6 @@ def test_infer_set_matches_per_hyperplane():
     secret = (4, -1, 2)
     vecs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
     sample, _ = _sample(vecs, secret)
-    cell = cell_from_sample(sample, 3)
     extra = [
         Vector([1, 1, 1]),
         Vector([1, -1, 0]),
@@ -173,9 +168,10 @@ def test_infer_set_matches_per_hyperplane():
     ]
     family = Family.of([v for _, v in sample.members] + extra)
     live = range(len(vecs), len(family))
-    outcome = infer_set(cell, live, family)
+    outcome = infer_set(cell_from_sample(sample, family), live, family)
+    ref = RationalCell(sample, 3)
     for ident, v in zip(live, extra):
-        expected = infer_sign(cell, v)
+        expected = infer_sign(ref, v)
         if expected is None:
             assert ident in outcome.undetermined
         else:
@@ -184,8 +180,8 @@ def test_infer_set_matches_per_hyperplane():
 
 def test_infer_set_echoes_sample_labels():
     sample, _ = _sample([(1, 0), (0, 1)], (3, 1))
-    cell = cell_from_sample(sample, 2)
-    outcome = infer_set(cell, [0, 1], Family.of(v for _, v in sample.members))
+    family = Family.of(v for _, v in sample.members)
+    outcome = infer_set(cell_from_sample(sample, family), [0, 1], family)
     assert outcome.inferred == SignVector({0: Sign.PLUS, 1: Sign.PLUS})
     assert outcome.undetermined.tolist() == []
 

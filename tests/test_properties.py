@@ -4,6 +4,7 @@ from math import lcm
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from ldt.batch import cell_from_sample, infer_set
 from ldt.geometry import (
     Family,
     Sign,
@@ -13,8 +14,8 @@ from ldt.geometry import (
     parse_rational,
     sign_of,
 )
-from ldt.inference import build_sorted_sample, cell_from_sample, infer_set
-from ldt.lp import HomogeneousSystem, feasible
+from ldt.inference import build_sorted_sample
+from ldt.lp import HomogeneousSystem, RationalCell, feasible, infer_sign
 from ldt.oracle import HiddenPointOracle
 from ldt.solver import SolveConfig, ceil_mul_log2, solve
 
@@ -89,17 +90,15 @@ def test_infer_set_sound_and_complete(secret, data):
     members = [(i, Vector(r)) for i, r in enumerate(rows)]
     oracle = HiddenPointOracle(x)
     sample = build_sorted_sample(members, oracle)
-    cell = cell_from_sample(sample, dim)
     t_rows = data.draw(
         st.lists(st.lists(small_ints, min_size=dim, max_size=dim), min_size=1, max_size=5)
     )
     family = Family.of([v for _, v in members] + [Vector(r) for r in t_rows])
     targets = [(n_members + i, family[n_members + i]) for i in range(len(t_rows))]
-    outcome = infer_set(cell, [i for i, _ in targets], family)
-    from ldt.inference import infer_sign
-
+    outcome = infer_set(cell_from_sample(sample, family), [i for i, _ in targets], family)
+    ref = RationalCell(sample, dim)
     for ident, h in targets:
-        slow = infer_sign(cell, h)
+        slow = infer_sign(ref, h)
         if slow is None:
             assert ident in outcome.undetermined
         else:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -8,15 +9,26 @@ from pathlib import Path
 
 import pytest
 
+from ldt.batch import cell_from_sample, infer_set
+from ldt.cli import main
 from ldt.geometry import Family, Sign, Vector, ground_truth_pattern
-from ldt.inference import build_sorted_sample, cell_from_sample, infer_set
+from ldt.inference import build_sorted_sample
 from ldt.oracle import HiddenPointOracle
 from ldt.prng import SplitMix64
 from ldt.problems import (
+    brute_kldt,
+    brute_zero_triangles,
+    encode_kldt,
     encode_ksum,
+    encode_sort_sumset,
     encode_subset_sum,
+    encode_zero_triangles,
+    extract_answer,
+    random_kldt_instance,
     random_ksum_instance,
     random_subset_sum_instance,
+    random_sumset_instance,
+    random_triangles_instance,
 )
 from ldt.solver import SolveConfig, SolverStalledError, ceil_mul_log2, decide, solve
 
@@ -180,7 +192,7 @@ def test_coordinates_past_int64_are_decided_exactly():
     family = Family.of([v for _, v in members] + [Vector([big, 1]), Vector([1, -big])])
     assert family.rows.dtype == object
     sample = build_sorted_sample(members, HiddenPointOracle(secret))
-    outcome = infer_set(cell_from_sample(sample, 2), [2, 3], family)
+    outcome = infer_set(cell_from_sample(sample, family), [2, 3], family)
     truth = ground_truth_pattern(family, secret)
     assert outcome.inferred[2] is truth[2] is Sign.PLUS
     for ident, sign in outcome.inferred.items():
@@ -231,3 +243,69 @@ def test_query_trace_is_pinned():
     oracle.ledger.export_jsonl(buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == "398f6cd62ffc48f776af6362513fc08ff8eb21677d2444ab58e833ab47e63b28"
+
+
+def _planted_3sum_16():
+    # this planted 3-SUM n=16 draw runs one inference round at seed 4
+    values = random_ksum_instance(SplitMix64(4), 16, 3, planted=True)
+    return values, encode_ksum(values, 3)
+
+
+def test_solver_stalls_past_the_round_budget(monkeypatch):
+    _, enc = _planted_3sum_16()
+    report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=4))
+    assert len(report.rounds) == 1
+    monkeypatch.setattr("ldt.solver._MAX_ROUNDS", 0)
+    with pytest.raises(SolverStalledError, match="after 0 rounds"):
+        solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=4))
+
+
+def test_solve_path_never_runs_the_rational_reference(monkeypatch, tmp_path, capsys):
+    # lp's exact simplex serves only the tests and lab as a reference
+    def refuse(system):
+        raise AssertionError("a solve ran the rational reference")
+
+    monkeypatch.setattr("ldt.lp._max_slack", refuse)
+    values, ksum = _planted_3sum_16()
+    rng = SplitMix64(12)
+    subset = encode_subset_sum(random_subset_sum_instance(rng, 12, planted=True))
+    sumset = encode_sort_sumset(*random_sumset_instance(rng, 8, 8))
+    for seed, enc in enumerate((ksum, subset, sumset)):
+        report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed))
+        assert report.rounds
+        assert report.pattern == ground_truth_pattern(enc.family, enc.hidden)
+
+    inst = tmp_path / "inst.txt"
+    inst.write_text(" ".join(map(str, values)) + "\n")
+    argv = ["solve", "ksum", "--input", str(inst), "--k", "3", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rounds"]
+
+
+def _audited_rounds(enc, seed, sample_constant):
+    """The rounds of a solve that must run one, and get every sign right."""
+    report = solve(
+        enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed, sample_constant)
+    )
+    assert report.rounds
+    assert report.pattern == ground_truth_pattern(enc.family, enc.hidden)
+    return report.rounds, extract_answer(enc, report.pattern)
+
+
+def test_kldt_and_triangles_reach_inference():
+    # at the default sample constant these sizes are labelled directly
+    rng = SplitMix64(9)
+    for trial in range(3):
+        alphas, values = random_kldt_instance(rng, 9, 3, planted=trial != 1)
+        enc = encode_kldt(alphas, values)
+        rounds, answer = _audited_rounds(enc, trial, Fraction(1, 4))
+        assert any(r.inferred > r.sample_size for r in rounds)
+        assert answer is brute_kldt(alphas, values)
+    for trial in range(3):
+        nv, edges = random_triangles_instance(rng, 30, planted=trial != 1)
+        enc = encode_zero_triangles(nv, edges)
+        rounds, answer = _audited_rounds(enc, trial, Fraction(1, 8))
+        # these cells reduce to about 150 dimensions, past the exact
+        # tier; a round settles at least its own sample (today no more)
+        assert all(r.inferred >= r.sample_size for r in rounds)
+        assert answer is brute_zero_triangles(nv, edges)
