@@ -11,8 +11,9 @@ once, cheapest proof first:
   * reduce modulo the equality span; a vanishing reduction means ZERO;
   * reject against a pool of exact interior points (mixed signs, or a
     zero value at an interior point, rule inference out);
-  * certify by dominance: harvested coordinate comparisons and sampled
-    anchors combine into explicit conic decompositions;
+  * certify by dominance: the harvested coordinate comparisons, closed
+    into one order matrix per cell, and anchors from the row's own side
+    of the origin combine into explicit conic decompositions;
   * finish stragglers by shared support: a least-squares proposal from
     the first unproved row is verified exactly against every open row
     in one batched integer solve.  A row no support proves can only be
@@ -34,7 +35,8 @@ integer arithmetic from intlin: the kernel bases of the equalities and
 of a Farkas vector's tight rows, the integer products that reduce the
 cell and the live rows by it, screen them against the pool and check
 every Farkas vector (exact_product, int64 while the sums fit), and the
-batched support solves that verify least-squares proposals.
+batched support solves that verify least-squares proposals (one
+elimination per support, one product with all its targets).
 
 A round makes two calls: cell_from_sample builds the reduced cell from
 the sorted sample, and infer_set decides the live rows against it.
@@ -65,8 +67,7 @@ from .intlin import (
 )
 
 _POOL_TARGET = 64
-_ANCHOR_TRIES = 48
-_FAST_ANCHORS = 40
+_ANCHORS = 48
 _UNIT_CAP = 12
 _EXACT_LP_DIM = 16
 _NEWTON_CAP = 200
@@ -83,7 +84,12 @@ class ChainCell:
     full one.  reps holds the reduced block representatives in sorted
     order, the origin at row z, and chain their consecutive
     differences; chain_t is its float transpose, the NNLS's matrix.
-    sample is the sorted sample the cell was built from.
+    sample is the sorted sample the cell was built from.  order is the
+    harvested strict order of the coordinates (_harvest_atoms).  above
+    holds the representatives above the origin and below the negations
+    of those beneath it, both nearest first and at most _ANCHORS long:
+    every one is positive over the cell, an anchor for the
+    certificates of its own side.
     """
 
     KB: np.ndarray | None
@@ -92,13 +98,16 @@ class ChainCell:
     chain: np.ndarray
     sample: SortedSample | None = field(default=None, repr=False)
     chain_t: np.ndarray = field(init=False)
-    reach: list[int] = field(default_factory=list)
-    anchors: list[list[int]] = field(default_factory=list)
-    above_raw: list[list[int]] = field(default_factory=list)
-    below_raw: list[list[int]] = field(default_factory=list)
+    order: np.ndarray = field(init=False, repr=False)
+    above: list[list[int]] = field(init=False, repr=False)
+    below: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.chain_t = self.chain.T.astype(np.float64)
+        self.order = _harvest_atoms(self.reps)
+        z = self.z
+        self.above = self.reps[z + 1:z + 1 + _ANCHORS].tolist()
+        self.below = (-self.reps[max(z - _ANCHORS, 0):z][::-1]).tolist()
 
     @property
     def n_red(self) -> int:
@@ -156,24 +165,20 @@ def cell_from_sample(sample: SortedSample, family: Family) -> ChainCell:
     chain = reps[1:] - reps[:-1]
     if not chain.any(axis=1).all():
         raise InconsistentSampleError("a strict gap lies in the span of the equalities")
-    cc = ChainCell(KB, reps, z, chain, sample)
-    _harvest_atoms(cc)
-    _collect_anchors(cc)
-    return cc
+    return ChainCell(KB, reps, z, chain, sample)
 
 
-def _harvest_atoms(cc: ChainCell) -> None:
-    """Mine strict coordinate comparisons from equal block differences.
+def _harvest_atoms(reps: np.ndarray) -> np.ndarray:
+    """Strict coordinate comparisons mined from equal block differences.
 
     Two blocks whose reduced representatives differ by e_c - e_d pin the
     sign of x_c - x_d to the known order of the blocks; a difference of
-    e_c alone compares x_c against zero.  The hits are closed under
-    transitivity into per-node reachability bitmasks, with node n_red
-    standing for the origin.
+    e_c alone compares x_c against zero.  Returns the boolean
+    (n_red + 1)^2 matrix whose [u, v] is true when x_u > x_v is proved,
+    node n_red standing for the origin, closed under transitivity.
     """
-    nr = cc.n_red
+    nr = reps.shape[1]
     origin = nr
-    reps = cc.reps
     # entry b * (nr + 1) stands for representative b, entry
     # b * (nr + 1) + 1 + c for it minus e_c; int64 entries are hashed
     # to one wrapping 64-bit key each (linear, so a unit shift subtracts
@@ -192,14 +197,10 @@ def _harvest_atoms(cc: ChainCell) -> None:
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for key, b, c in zip(map(tuple, shifted.tolist()), blk.tolist(), shift.tolist()):
         groups.setdefault(key, []).append((b, c))
-    adj = [0] * (nr + 1)
+    order = np.zeros((nr + 1, nr + 1), dtype=bool)
     for entries in groups.values():
-        if len(entries) < 2:
-            continue
         for (b1, c1), (b2, c2) in combinations(entries, 2):
-            if b1 == b2:
-                continue
-            if c1 == -1 and c2 == -1:
+            if b1 == b2 or c1 == c2 == -1:
                 continue
             if c2 == -1:
                 u, v = (c1, origin) if b1 > b2 else (origin, c1)
@@ -207,35 +208,11 @@ def _harvest_atoms(cc: ChainCell) -> None:
                 u, v = (c2, origin) if b2 > b1 else (origin, c2)
             else:
                 u, v = (c1, c2) if b1 > b2 else (c2, c1)
-            adj[u] |= 1 << v
-    reach = [0] * (nr + 1)
-    for start in range(nr + 1):
-        seen = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            fresh = adj[u] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                stack.append(low.bit_length() - 1)
-                fresh ^= low
-        reach[start] = seen
-    cc.reach = reach
-
-
-def _collect_anchors(cc: ChainCell) -> None:
-    """Cone anchors ordered by distance from the zero block."""
-    cc.above_raw = above = cc.reps[cc.z + 1:].tolist()
-    cc.below_raw = cc.reps[:cc.z][::-1].tolist()
-    below = [[-x for x in r] for r in cc.below_raw]
-    merged: list[list[int]] = []
-    for a, b in zip(above, below):
-        merged.append(a)
-        merged.append(b)
-    longer = above if len(above) > len(below) else below
-    merged.extend(longer[min(len(above), len(below)):])
-    cc.anchors = merged
+            order[u, v] = True
+    # Warshall's closure; a node with no edge in or none out joins no path
+    for k in np.flatnonzero(order.any(axis=0) & order.any(axis=1)):
+        order |= order[:, k, None] & order[k]
+    return order
 
 
 def linprog(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -347,52 +324,37 @@ def _build_pool(cc: ChainCell) -> np.ndarray:
     return np.hstack([seed[:, None], nudged[:, inside]])[:, :_POOL_TARGET]
 
 
-def _decompose_units(g: Sequence[int], cc: ChainCell) -> bool:
+def _decompose_units(g: Sequence[int], order: list[list[bool]]) -> bool:
     """Ground every unit of g on a harvested strict comparison.
 
     g splits into +e_c and -e_d units; each positive unit needs either
     a negative partner it provably exceeds or a proof it exceeds zero,
-    and leftover negative units need a proof they sit below zero.  A g
-    of no units or more than _UNIT_CAP is refused before any unit is
-    listed.
+    and leftover negative units need a proof they sit below zero.
+    order is the cell's order matrix as nested lists.  A g of no units
+    or more than _UNIT_CAP is refused before any unit is listed.
     """
     if not 0 < sum(map(abs, g)) <= _UNIT_CAP:
         return False
-    origin = cc.n_red
-    reach = cc.reach
+    origin = len(g)
+    below_zero = order[origin]
     pos = [c for c, val in enumerate(g) if val > 0 for _ in range(val)]
     neg = [c for c, val in enumerate(g) if val < 0 for _ in range(-val)]
-    zero_mask = reach[origin]
-    if all((reach[c] >> origin) & 1 for c in pos) and all(
-        (zero_mask >> d) & 1 for d in neg
-    ):
+    if all(order[c][origin] for c in pos) and all(below_zero[d] for d in neg):
         return True
-    full = (1 << len(neg)) - 1
     memo: dict[tuple[int, int], bool] = {}
 
     def ok(i: int, used: int) -> bool:
         if i == len(pos):
-            rest = full & ~used
-            j = 0
-            while rest:
-                if rest & 1 and not (zero_mask >> neg[j]) & 1:
-                    return False
-                rest >>= 1
-                j += 1
-            return True
+            return all(below_zero[d] for j, d in enumerate(neg) if not used >> j & 1)
         key = (i, used)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        c = pos[i]
-        res = False
-        if (reach[c] >> origin) & 1 and ok(i + 1, used):
-            res = True
-        else:
+        row = order[pos[i]]
+        res = row[origin] and ok(i + 1, used)
+        if not res:
             for j, d in enumerate(neg):
-                if used >> j & 1:
-                    continue
-                if (reach[c] >> d) & 1 and ok(i + 1, used | (1 << j)):
+                if row[d] and not used >> j & 1 and ok(i + 1, used | 1 << j):
                     res = True
                     break
         memo[key] = res
@@ -401,14 +363,14 @@ def _decompose_units(g: Sequence[int], cc: ChainCell) -> bool:
     return ok(0, 0)
 
 
-def _anchored_cert(target: list[int], cc: ChainCell) -> bool:
-    """Conic decomposition of target using anchors plus unit atoms."""
-    if _decompose_units(target, cc):
-        return True
-    for a in cc.anchors[:_ANCHOR_TRIES]:
-        if _decompose_units([t - x for t, x in zip(target, a)], cc):
-            return True
-    return False
+def _anchored_cert(
+    target: list[int], anchors: list[list[int]], order: list[list[bool]]
+) -> bool:
+    """Conic decomposition of target into unit atoms, or into one anchor
+    of target's own side plus unit atoms."""
+    return _decompose_units(target, order) or any(
+        _decompose_units([t - x for t, x in zip(target, a)], order) for a in anchors
+    )
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -571,12 +533,12 @@ def _fast_uniform_certs(
     """Anchor dominance for 0/1 rows of one fixed weight.
 
     A row certifies PLUS when its support can be matched one-to-one
-    onto the support of a sampled anchor above zero, each matched
-    coordinate provably at least the anchor's; MINUS mirrors with
-    anchors below zero.  Small fixed weight keeps the bijection search
-    to a handful of permutations, all evaluated vectorised.
+    onto the support of a 0/1 anchor above zero, each matched
+    coordinate provably at least the anchor's; MINUS mirrors with the
+    negated anchors below zero, each of their coordinates provably at
+    least the row's.  Small fixed weight keeps the bijection search to
+    a handful of permutations, evaluated for all rows at once.
     """
-    nr = cc.n_red
     if not (~settled & (cand_plus | cand_minus)).any():
         return
     if Hred.min() < 0 or Hred.max() > 1:
@@ -585,62 +547,29 @@ def _fast_uniform_certs(
     k = int(weights[0])
     if k < 1 or k > 4 or not (weights == k).all():
         return
-    origin = nr
-    ge = np.zeros((nr + 1, nr + 1), dtype=bool)
-    for u in range(nr + 1):
-        row = cc.reach[u]
-        for v in range(nr + 1):
-            ge[u, v] = bool((row >> v) & 1)
-        ge[u, u] = True
-
-    def supports(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.where(mask)[0]
-        if rows.size == 0:
-            return rows, np.zeros((0, k), dtype=np.int64)
+    # at_least[u, v]: x_u >= x_v is proved
+    at_least = cc.order | np.eye(cc.n_red + 1, dtype=bool)
+    perms = np.array(list(permutations(range(k))))
+    slots = np.arange(k)
+    for sign, cand, anchors, dominates in (
+        (1, cand_plus, cc.above, at_least),
+        (-1, cand_minus, cc.below, at_least.T),
+    ):
+        rows = np.flatnonzero(cand & ~settled)
+        if not rows.size:
+            continue
+        A = sign * np.array(anchors).reshape(len(anchors), cc.n_red)
+        A = A[((A == 0) | (A == 1)).all(axis=1) & (A.sum(axis=1) == k)]
         idx = np.nonzero(Hred[rows])[1].reshape(rows.size, k)
-        return rows, idx
-
-    def anchor_supports(raw: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        out = []
-        for a in raw[:_FAST_ANCHORS]:
-            if min(a) < 0 or max(a) > 1 or sum(a) != k:
-                return []
-            out.append(tuple(i for i, v in enumerate(a) if v))
-        return out
-
-    perms = list(permutations(range(k)))
-    rows_p, idx_p = supports(cand_plus & ~settled)
-    if rows_p.size:
-        hits = np.zeros(rows_p.size, dtype=bool)
-        for a in anchor_supports(cc.above_raw):
-            for perm in perms:
-                m = np.ones(rows_p.size, dtype=bool)
-                for t in range(k):
-                    m &= ge[idx_p[:, t], a[perm[t]]]
-                    if not m.any():
-                        break
-                hits |= m
+        hits = np.zeros(rows.size, dtype=bool)
+        for a in np.nonzero(A)[1].reshape(len(A), k):
+            # D[r, t, s]: row coordinate t dominates anchor coordinate s
+            D = dominates[idx[:, :, None], a]
+            hits |= D[:, slots, perms].all(axis=2).any(axis=1)
             if hits.all():
                 break
-        chosen = rows_p[hits]
-        settled[chosen] = True
-        signs[chosen] = 1
-    rows_m, idx_m = supports(cand_minus & ~settled)
-    if rows_m.size:
-        hits = np.zeros(rows_m.size, dtype=bool)
-        for a in anchor_supports(cc.below_raw):
-            for perm in perms:
-                m = np.ones(rows_m.size, dtype=bool)
-                for t in range(k):
-                    m &= ge[np.full(rows_m.size, a[perm[t]]), idx_m[:, t]]
-                    if not m.any():
-                        break
-                hits |= m
-            if hits.all():
-                break
-        chosen = rows_m[hits]
-        settled[chosen] = True
-        signs[chosen] = -1
+        settled[rows[hits]] = True
+        signs[rows[hits]] = sign
 
 
 def infer_set(cell: ChainCell, live: Sequence[int], family: Family) -> InferenceOutcome:
@@ -691,13 +620,10 @@ def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarr
         cand_minus = (D < 0).all(axis=1) & ~settled
 
         if Hred.dtype != object:
-            # units grounded straight on zero comparisons
-            p_ok = np.array(
-                [(cc.reach[c] >> nr) & 1 for c in range(nr)], dtype=bool
-            )
-            n_ok = np.array(
-                [(cc.reach[nr] >> c) & 1 for c in range(nr)], dtype=bool
-            )
+            # units grounded straight on zero comparisons: x_c > 0 and
+            # x_c < 0 proved, the origin's column and row of the order
+            p_ok = cc.order[:nr, nr]
+            n_ok = cc.order[nr, :nr]
             hp = Hred > 0
             hn = Hred < 0
             plus_units = cand_plus & ~(hp & ~p_ok).any(axis=1) & ~(hn & ~n_ok).any(axis=1)
@@ -721,12 +647,13 @@ def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 # proven outside the cone: not inferable either way,
                 # leave it for a direct label
                 settled[i] = True
-        still = np.where(~settled & (cand_plus | cand_minus))[0]
+        still = np.flatnonzero(~settled & (cand_plus | cand_minus))
+        order = cc.order.tolist() if still.size else []
         for i in still:
-            row = [int(x) for x in Hred[i]]
-            target = row if cand_plus[i] else [-x for x in row]
-            if _anchored_cert(target, cc):
-                signs[i] = 1 if cand_plus[i] else -1
+            flip = 1 if cand_plus[i] else -1
+            anchors = cc.above if flip > 0 else cc.below
+            if _anchored_cert((Hred[i] * flip).tolist(), anchors, order):
+                signs[i] = flip
                 settled[i] = True
 
     # proven outside the cone is settled too, with sign 0: not inferable

@@ -4,9 +4,10 @@ The solver side needs two exact computations: a kernel basis (of the
 equalities of a sample cell, and of the rows a Farkas vector must
 vanish on), and the particular solutions of one small system for a
 whole batch of targets (their signs decide conic certificates).  Both
-run here on Python integers, the batched one as integer matrix
-products, and exact_product multiplies integer matrices without
-overflow, which is also how every proposed certificate is checked.
+read one elimination, row_basis's reduced echelon form, run on Python
+integers; the batched one then needs a single integer matrix product,
+and exact_product multiplies integer matrices without overflow, which
+is also how every proposed certificate is checked.
 The one float in them, a matrix rank that tells the kernel basis where
 its elimination may stop, is checked exactly before it is trusted.
 Rows are kept primitive (gcd content divided out) and combined by
@@ -86,50 +87,40 @@ def row_basis(rows: Iterable[Sequence[int]]) -> RowBasis:
     return basis
 
 
-def kernel_basis(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
-    """Integer basis of the common kernel of the given functionals.
-
-    One column per free column f of the reduced row echelon form, in
-    increasing order of f: the primitive integer vector with a positive
-    entry at f, zeros at the other free columns, and the pivot entries
-    the kernel forces.  The echelon form is unique, so the basis is too.
-    """
-    return _kernel_columns(row_basis(rows), n)
-
-
 def kernel_matrix(rows: np.ndarray) -> np.ndarray:
-    """kernel_basis of the rows of an integer matrix from
-    generator_matrix, as the columns of another (n x n_red).
+    """Integer basis of the common kernel of the rows of an integer
+    matrix from generator_matrix, as the columns of another (n x n_red).
 
-    The elimination stops as soon as its basis reaches the float rank of
-    rows, which only proposes: the basis is kept when every row vanishes
-    on its kernel, checked exactly, and otherwise the elimination
-    resumes over the rows not yet taken.  A kept basis spans the row
-    space, whose reduced echelon form is unique, so the result is
-    kernel_basis's either way.  Object rows (past GEMM_GUARD) skip the
-    proposal and are eliminated in full, and so are matrices with no
+    One column per free column f of the reduced echelon basis of rows,
+    in increasing order of f: the primitive integer vector with a
+    positive entry at f, zeros at the other free columns, and the pivot
+    entries the kernel forces.  The echelon form is unique, so the basis
+    is too.  The elimination stops as soon as its basis reaches the
+    float rank of rows, which only proposes: the basis is kept when
+    every row vanishes on its kernel, checked exactly, and otherwise
+    row_basis eliminates every row.  Object rows (past GEMM_GUARD) skip
+    the proposal and are eliminated in full, and so are matrices with no
     more rows than columns, where stopping early saves less than the
     float rank costs.
     """
     n = rows.shape[1]
     todo = rows.tolist()
-    basis: RowBasis = {}
-    k = 0
     if rows.dtype != object and len(todo) > n:
         rank = int(np.linalg.matrix_rank(rows.astype(np.float64)))
+        basis: RowBasis = {}
+        k = 0
         while k < len(todo) and len(basis) < rank:
             _absorb(basis, todo[k])
             k += 1
         KB = generator_matrix(_kernel_columns(basis, n), n).T
         if k == len(todo) or not exact_product(rows[k:], KB).any():
             return KB
-    for row in todo[k:]:
-        _absorb(basis, row)
-    return generator_matrix(_kernel_columns(basis, n), n).T
+    return generator_matrix(_kernel_columns(row_basis(todo), n), n).T
 
 
 def _kernel_columns(basis: RowBasis, n: int) -> list[list[int]]:
-    """kernel_basis from the reduced echelon basis of the functionals."""
+    """kernel_matrix's columns from the reduced echelon basis of the
+    functionals."""
     cols: list[list[int]] = []
     for f in range(n):
         if f in basis:
@@ -151,60 +142,27 @@ def nonnegative_solutions(
     """Which rows t of targets satisfy t = sum c_j cols[j] with a
     nonnegative particular solution (every free coefficient zero)?
 
-    Fraction-free Gauss-Jordan elimination runs over [A | I], with
-    A[i][j] = cols[j][i], taking pivot columns greedily in order as
-    Bareiss does.  Its first rank rows then hold det(B) B^-1 for the
-    pivot block B, signed so that the denominator D = |det B| is
-    positive.  The coefficient numerators of every target come from one
-    product with that inverse, and a target is accepted when they are
-    all >= 0 and the pivot columns times them reproduce D times the
-    target exactly.  targets comes from generator_matrix; both products
-    run in int64 while GEMM_GUARD bounds them and in Python integers
-    past it.
+    One elimination, the reduced echelon basis of [A | I] with
+    A[i][j] = cols[j][i], decides every target.  Each basis row b is
+    y [A | I] for y = b[k:].  Its pivot columns inside A are the columns
+    of A independent of the ones before them, and a row b pivoting at
+    such a column p is zero at every other pivot column, so for a
+    particular solution c, b[p] c_p = y A c = y t: with b[p] > 0, c_p
+    >= 0 exactly when y t >= 0.  The rows pivoting past A have y A = 0
+    and span A's left kernel, so t lies in the span of cols exactly when
+    each of them vanishes on t.  Both tests read one exact_product of
+    targets (from generator_matrix) with the y columns.
     """
     k = len(cols)
     dim = targets.shape[1]
-    W = [[int(col[i]) for col in cols] + [int(i == j) for j in range(dim)]
-         for i in range(dim)]
-    piv_cols: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(k):
-        sel = next((i for i in range(r, dim) if W[i][c]), None)
-        if sel is None:
-            continue
-        W[r], W[sel] = W[sel], W[r]
-        p = W[r][c]
-        pivot_row = W[r]
-        for i in range(dim):
-            if i != r:
-                f = W[i][c]
-                W[i] = [(p * a - f * b) // prev for a, b in zip(W[i], pivot_row)]
-        prev = p
-        piv_cols.append(c)
-        r += 1
-        if r == dim:
-            break
-    if not r:
-        return ~np.any(targets != 0, axis=1)
-    # every row was scaled alike, so prev = det B sits on the diagonal
-    sgn = 1 if prev > 0 else -1
-    den = sgn * prev
-    inv = [[sgn * a for a in row[k:]] for row in W[:r]]
-    gens = [[int(cols[c][i]) for c in piv_cols] for i in range(dim)]
-    top = int(abs(targets).max(initial=1))
-    num_top = max(abs(a) for row in inv for a in row) * top * dim
-    gen_top = max(abs(a) for row in gens for a in row)
-    wide = max(gen_top * num_top * r, den * top) >= GEMM_GUARD
-    dtype = object if wide or targets.dtype == object else np.int64
-    tgt = targets.astype(dtype)
-    num = np.array(inv, dtype=dtype) @ tgt.T
-    ok = (num >= 0).all(axis=0)
-    hit = np.flatnonzero(ok)
-    if hit.size:
-        back = np.array(gens, dtype=dtype) @ num[:, hit]
-        ok[hit] = (back == den * tgt[hit].T).all(axis=0)
-    return ok
+    basis = row_basis(
+        [int(col[i]) for col in cols] + [int(i == j) for j in range(dim)]
+        for i in range(dim)
+    )
+    Y = generator_matrix([b[k:] for b in basis.values()], dim).T
+    num = exact_product(targets, Y)
+    inside = np.array([p < k for p in basis], dtype=bool)
+    return (num[:, inside] >= 0).all(axis=1) & (num[:, ~inside] == 0).all(axis=1)
 
 
 def generator_matrix(rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:

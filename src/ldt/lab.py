@@ -128,12 +128,13 @@ class CellEnumeration:
     exact: bool
 
 
-def _rref_key(rows: list[Vector], dim: int) -> tuple:
-    mat = [[Fraction(c) for c in v.coords] for v in rows]
+def _rref(rows: list[Vector], dim: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: its rows, each 1 at
+    its pivot, and their pivot columns, in the order they were found."""
     basis: list[list[Fraction]] = []
     pivots: list[int] = []
-    for row in mat:
-        row = row[:]
+    for v in rows:
+        row = [Fraction(c) for c in v.coords]
         for b, p in zip(basis, pivots):
             if row[p]:
                 f = row[p]
@@ -149,35 +150,20 @@ def _rref_key(rows: list[Vector], dim: int) -> tuple:
                 b[:] = [a - f * rr for a, rr in zip(b, row)]
         basis.append(row)
         pivots.append(lead)
+    return basis, pivots
+
+
+def _rref_key(rows: list[Vector], dim: int) -> tuple:
+    basis, pivots = _rref(rows, dim)
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return tuple(tuple(basis[i]) for i in order)
 
 
 def _kernel_cols(rows: list[Vector], dim: int) -> list[list[Fraction]]:
-    mat = [[Fraction(c) for c in v.coords] for v in rows]
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in mat:
-        row = row[:]
-        for b, p in zip(basis, pivots):
-            if row[p]:
-                f = row[p]
-                row = [a - f * bb for a, bb in zip(row, b)]
-        lead = next((j for j in range(dim) if row[j]), None)
-        if lead is None:
-            continue
-        inv = Fraction(1) / row[lead]
-        row = [a * inv for a in row]
-        for b, p in zip(basis, pivots):
-            if b[lead]:
-                f = b[lead]
-                b[:] = [a - f * rr for a, rr in zip(b, row)]
-        basis.append(row)
-        pivots.append(lead)
-    pivot_set = set(pivots)
+    basis, pivots = _rref(rows, dim)
     cols = []
     for f in range(dim):
-        if f in pivot_set:
+        if f in pivots:
             continue
         col = [Fraction(0)] * dim
         col[f] = Fraction(1)

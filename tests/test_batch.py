@@ -23,6 +23,7 @@ from ldt.batch import cell_from_sample, infer_set
 from ldt.lp import RationalCell, infer_sign
 from ldt.oracle import HiddenPointOracle
 from ldt.problems import (
+    brute_ksum,
     encode_kldt,
     encode_ksum,
     encode_sort_sumset,
@@ -34,11 +35,17 @@ from ldt.problems import (
     random_sumset_instance,
     random_triangles_instance,
 )
-from ldt.intlin import generator_matrix, kernel_basis
+from ldt.intlin import generator_matrix
 from ldt.prng import SplitMix64
 from ldt.solver import SolveConfig, solve
 
-from test_intlin import cone_member_reference, cones, entries, support_solve_reference
+from test_intlin import (
+    cone_member_reference,
+    cones,
+    entries,
+    kernel_basis_reference,
+    support_solve_reference,
+)
 
 
 def _random_cell(rng, dim, n_members, width=2):
@@ -88,7 +95,7 @@ def _chain_cell_reference(sample, rows):
     else:
         z = sum(1 for lab in blabels if lab is Sign.MINUS)
         reps_full.insert(z, origin)
-    kb = kernel_basis(e_rows, dim) if e_rows else None
+    kb = kernel_basis_reference(e_rows, dim) if e_rows else None
     if kb is None:
         reps = reps_full
     else:
@@ -143,7 +150,7 @@ def test_chain_cell_matches_the_vector_by_vector_reference():
         assert cc.reps.tolist() == [list(r) for r in reps]
         assert cc.chain.tolist() == [list(c) for c in chain]
         assert cc.chain_t.shape == (n_red, len(chain))
-        assert cc.reach == _reach_reference(cc.reps)
+        assert cc.order.tolist() == _as_matrix(_reach_reference(cc.reps))
         seen["ties"] += any(len(blk) > 1 for blk in sample.blocks)
         seen["zero block"] += Sign.ZERO in sample.labels
         seen["no equalities"] += kb is None
@@ -188,6 +195,12 @@ def _reach_reference(reps):
     return reach
 
 
+def _as_matrix(masks):
+    """Reachability masks as the order matrix's nested lists: [u][v] is
+    bit v of mask u."""
+    return [[bool(m >> v & 1) for v in range(len(masks))] for m in masks]
+
+
 def test_hashed_harvest_matches_the_dict_reference(monkeypatch):
     rng = SplitMix64(8)
     cases = []
@@ -201,21 +214,19 @@ def test_hashed_harvest_matches_the_dict_reference(monkeypatch):
         reps[:, :1] += 1 << 63
 
     def harvest(reps):
-        cc = batch.ChainCell(None, reps, 0, reps[1:] - reps[:-1])
-        batch._harvest_atoms(cc)
-        return cc.reach
+        return batch._harvest_atoms(reps).tolist()
 
     edges = 0
     for reps in cases + huge:
         want = _reach_reference(reps)
-        assert harvest(reps) == want
+        assert harvest(reps) == _as_matrix(want)
         edges += sum(r != 0 for r in want)
     assert edges > 200
     # every key equal: each entry is a suspect, and exact grouping alone
     # must keep distinct entries apart
     monkeypatch.setattr(batch, "hash_weights", lambda n: np.ones(n, dtype=np.uint64))
     for reps in cases[:60]:
-        assert harvest(reps) == _reach_reference(reps)
+        assert harvest(reps) == _as_matrix(_reach_reference(reps))
 
 
 def test_engine_agrees_with_simplex_route():
@@ -497,12 +508,11 @@ def test_farkas_certificate_decides_most_non_members(huge, floor):
 def test_unit_decomposition_counts_units_before_expanding():
     # one unit list entry per unit of g: a 2^62 entry must be refused by
     # its count, not by allocating the list
-    cc = _cell_of_chain([[1, 0], [0, 1]])
-    batch._harvest_atoms(cc)
-    assert batch._decompose_units([1 << 62, 0], cc) is False
-    assert batch._decompose_units([1, -(1 << 62)], cc) is False
-    assert batch._decompose_units([0, 0], cc) is False
-    assert batch._decompose_units([1, 0], cc) is True
+    order = _cell_of_chain([[1, 0], [0, 1]]).order.tolist()
+    assert batch._decompose_units([1 << 62, 0], order) is False
+    assert batch._decompose_units([1, -(1 << 62)], order) is False
+    assert batch._decompose_units([0, 0], order) is False
+    assert batch._decompose_units([1, 0], order) is True
 
 
 HUGE_ROWS_RUN = """
@@ -730,3 +740,36 @@ def test_pool_program_margin_is_near_optimal():
         assert 0.5 * best <= margin <= best + 1e-9
         checked += 1
     assert checked > 10
+
+
+def test_fast_uniform_tier_only_speeds_up_the_anchored_one():
+    # a wide-bound negative 3-SUM n=24 cell has no equalities, so every
+    # row is 0/1 of weight 3; each row the fast tier settles must also
+    # be certified by _anchored_cert, from its own side's anchors, with
+    # the same sign, and that sign must be the true one
+    rng = SplitMix64(0)
+    while True:
+        vals = random_ksum_instance(rng, 24, 3, False, bound=10 * 24**3)
+        if not brute_ksum(vals, 3):
+            break
+    enc = encode_ksum(vals, 3)
+    family = enc.family
+    ids = sorted(rng.sample_indices(len(family), 150))
+    oracle = HiddenPointOracle(enc.hidden)
+    cc = cell_from_sample(build_sorted_sample(list(zip(ids, family.members(ids))), oracle), family)
+    assert cc.KB is None and cc.n_red == 24
+    live = np.setdiff1d(np.arange(len(family)), ids)
+    H = family.rows[live]
+    D = H @ batch._build_pool(cc)
+    settled = np.zeros(len(H), dtype=bool)
+    signs = np.zeros(len(H), dtype=np.int8)
+    batch._fast_uniform_certs(cc, H, (D > 0).all(axis=1), (D < 0).all(axis=1), settled, signs)
+    assert (signs[settled] == 1).sum() > 500 and (signs[settled] == -1).sum() > 500
+    assert not signs[~settled].any()
+    truth = ground_truth_pattern(family, enc.hidden)
+    order = cc.order.tolist()
+    for i in np.flatnonzero(settled):
+        flip = int(signs[i])
+        assert truth[live[i]] is (Sign.PLUS if flip > 0 else Sign.MINUS)
+        anchors = cc.above if flip > 0 else cc.below
+        assert batch._anchored_cert((H[i] * flip).tolist(), anchors, order)

@@ -19,7 +19,6 @@ from ldt.intlin import (
     GEMM_GUARD,
     exact_product,
     generator_matrix,
-    kernel_basis,
     kernel_matrix,
     nonnegative_solutions,
     repeated,
@@ -154,14 +153,14 @@ def matrices(draw, max_rows=8):
 @given(matrices())
 def test_kernel_basis_matches_fraction_rref(case):
     n, rows = case
-    got = kernel_basis(rows, n)
+    got = kernel_matrix(generator_matrix(rows, n)).T.tolist()
     assert got == kernel_basis_reference(rows, n)
     for col in got:
         assert all(sum(a * c for a, c in zip(row, col)) == 0 for row in rows)
 
 
 def _kernel_as_matrix(rows, n):
-    return generator_matrix(kernel_basis(rows, n), n).T
+    return generator_matrix(kernel_basis_reference(rows, n), n).T
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,6 +271,25 @@ def test_support_solve_edge_cases():
     assert got.tolist() == [support_solve_reference(cols, t, 2) for t in targets]
     assert got.tolist() == [True, True, False, False]
     assert nonnegative_solutions(cols, generator_matrix([], 2)).tolist() == []
+
+
+def test_support_solve_runs_one_elimination(monkeypatch):
+    # one row of [A | I] absorbed per coordinate, however many targets
+    absorbed = 0
+    absorb = intlin._absorb
+
+    def counting(basis, row):
+        nonlocal absorbed
+        absorbed += 1
+        absorb(basis, row)
+
+    monkeypatch.setattr(intlin, "_absorb", counting)
+    cols = [[1, 0, 2], [0, 1, -1], [1, 1, 1], [2, 0, 4]]
+    targets = [[1, 1, 1], [3, 1, 5], [-1, 0, -2], [0, 0, 1], [1, 0, 0]] * 8
+    got = nonnegative_solutions(cols, generator_matrix(targets, 3))
+    assert absorbed == 3
+    assert got.tolist() == [support_solve_reference(cols, t, 3) for t in targets]
+    assert got[:5].tolist() == [True, True, False, False, False]
 
 
 def cone_member_reference(generators, target):
