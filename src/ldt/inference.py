@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Sign, SignVector, Vector
+from .geometry import Family, Sign, SignVector, Vector
 # no code here calls feasible: the traced benchmark patches this binding
 # (its lp.feasible hook) and reads 0 calls from it
 from .lp import feasible  # noqa: F401
@@ -43,22 +43,23 @@ class InconsistentSampleError(RuntimeError):
 
 
 def build_sorted_sample(
-    members: Sequence[tuple[int, Vector]], oracle: HiddenPointOracle
+    ids: Sequence[int], family: Family, oracle: HiddenPointOracle
 ) -> SortedSample:
-    """Label every member, then sort each label class by comparisons.
+    """Label the rows of family indexed by ids, then sort each label
+    class by comparisons.
 
-    Labels order the classes MINUS < ZERO < PLUS and make the ZERO class
-    one tie, so only MINUS and PLUS are sorted: a stable merge sort over
+    The oracle answers about the rows by index (query_rows), so asking
+    needs no Vector; the returned sample carries the members' Vectors,
+    built from one conversion of their rows (Family.members).  Labels
+    order the classes MINUS < ZERO < PLUS and make the ZERO class one
+    tie, so only MINUS and PLUS are sorted: a stable merge sort over
     equal-value blocks that compares two block heads once and fuses them
     on a tie.  No pair is compared twice or across labels, a member that
     joined a block is never compared again, and a class of c members
     costs at most c*ceil(log2 c) comparisons.
     """
-    members = list(members)
-    labels = [oracle.label_query(v, ident=i) for i, v in members]
-    idents = [i for i, _ in members]
-    vecs = [v for _, v in members]
-    compare = oracle.comparison_query
+    ids = list(ids)
+    labels, compare = oracle.query_rows(family, ids)
     minus, plus = Sign.MINUS, Sign.PLUS
 
     def merge_sort(items: list[list[int]]) -> list[list[int]]:
@@ -73,8 +74,7 @@ def build_sorted_sample(
         n_left, n_right = len(left), len(right)
         while i < n_left and j < n_right:
             a, b = left[i], right[j]
-            pa, pb = a[0], b[0]
-            s = compare(vecs[pa], vecs[pb], idents=(idents[pa], idents[pb]))
+            s = compare(a[0], b[0])
             if s is minus:
                 append(a)
                 i += 1
@@ -99,7 +99,7 @@ def build_sorted_sample(
         + ([zeros] if zeros else [])
         + merge_sort(by_label[Sign.PLUS])
     )
-    return SortedSample(members, labels, blocks)
+    return SortedSample(list(zip(ids, family.members(ids))), labels, blocks)
 
 
 @dataclass

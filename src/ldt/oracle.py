@@ -2,24 +2,34 @@
 
 The solver sees the hidden point x only through two query kinds:
 
-  label_query(h)            sign of <h, x>
-  comparison_query(h1, h2)  sign of <h1 - h2, x>
+  label                     sign of <h, x>
+  comparison of h1 and h2   sign of <h1 - h2, x>
 
-Every call is counted in a ledger and optionally logged.  Nothing else
-about x is observable; the oracle object keeps the point in a private
-attribute and exposes no accessor.
+Each kind is asked either per vector (label_query, comparison_query) or
+by row index into a Family (query_rows): one exact product then gives
+the values of a whole row set, and its labels and comparisons are
+answered from them.  Every query is counted in one ledger and
+optionally logged, the same entry for either form.  Nothing else about
+x is observable; the oracle object keeps the point in private
+attributes and exposes no accessor.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Sequence
 
-from .geometry import Sign, Vector, sign_of
+import numpy as np
+
+from .geometry import Family, Sign, Vector, sign_of
+from .intlin import exact_product, generator_matrix
+
+# indexed by (d > 0) - (d < 0): the sign of d
+_SIGN_AT = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
 
 
 @dataclass
@@ -54,7 +64,7 @@ class HiddenPointOracle:
     In strict comparison mode the oracle additionally checks that label
     queries use members of the declared family and comparison queries
     use pairs of members, i.e. that every probed functional lies in the
-    family or its difference set.
+    family or its difference set; query_rows checks every row of its set.
     """
 
     def __init__(
@@ -72,54 +82,46 @@ class HiddenPointOracle:
             denom = lcm(*(c.denominator for c in secret.coords)) if len(secret) else 1
             self._secret_ints = tuple(int(c * denom) for c in secret.coords)
         self.dim = len(self._secret_ints)
+        # the scaled secret as one integer column, for query_rows
+        self._secret_col = generator_matrix([self._secret_ints], self.dim)[0]
         self.ledger = QueryLedger(log=[] if log_queries else None)
         self._family = (
             frozenset(strict_family) if strict_family is not None else None
         )
-        # <h, x> of every integer vector queried so far, keyed by id(h);
-        # the entry holds h, so no other live object can share the key
-        self._values: dict[int, tuple[Vector, int]] = {}
 
     def _check_member(self, h: Vector, kind: str) -> None:
         if h not in self._family:
             raise StrictModeViolation(f"{kind} query outside declared family: {h!r}")
 
-    def _check_dim(self, h: Vector) -> None:
-        if h.dim != self.dim:
-            raise ValueError(f"query dimension {h.dim} != oracle dimension {self.dim}")
+    def _check_dim(self, dim: int) -> None:
+        if dim != self.dim:
+            raise ValueError(f"query dimension {dim} != oracle dimension {self.dim}")
 
-    def _value(self, h: Vector) -> int:
-        """<h, x> for an integer vector h, dimension-checked and computed once."""
-        hit = self._values.get(id(h))
-        if hit is not None:
-            return hit[1]
-        self._check_dim(h)
-        total = sum(map(mul, h.ints, self._secret_ints))
-        self._values[id(h)] = (h, total)
-        return total
+    def _dot(self, h: Vector) -> int | Fraction:
+        """<h, x> times the secret's positive scale, dimension-checked."""
+        self._check_dim(h.dim)
+        coords = h.ints if h.ints is not None else h.coords
+        return sum(map(mul, coords, self._secret_ints))
 
-    def _sign_at(self, h: Vector) -> Sign:
-        if h.ints is not None:
-            return sign_of(self._value(h))
-        self._check_dim(h)
-        acc = Fraction(0)
-        for u, v in zip(h.coords, self._secret_ints):
-            if u and v:
-                acc += u * v
-        return sign_of(acc)
+    def _record(self, kind: str, answer: Sign, key: str, about: object) -> Sign:
+        """Count one answered query of kind "label" or "cmp" and, when
+        logging, log it as {"kind", "answer", key: about}."""
+        ledger = self.ledger
+        if kind == "label":
+            ledger.label_count += 1
+        else:
+            ledger.comparison_count += 1
+        if ledger.log is not None:
+            ledger.log.append({"kind": kind, "answer": answer.char, key: about})
+        return answer
 
     def label_query(self, h: Vector, ident: int | None = None) -> Sign:
         if self._family is not None:
             self._check_member(h, "label")
-        answer = self._sign_at(h)
-        self.ledger.label_count += 1
-        if self.ledger.log is not None:
-            entry: dict = {"kind": "label", "answer": answer.char}
-            entry["id" if ident is not None else "vector"] = (
-                ident if ident is not None else str(h)
-            )
-            self.ledger.log.append(entry)
-        return answer
+        answer = sign_of(self._dot(h))
+        if ident is not None:
+            return self._record("label", answer, "id", ident)
+        return self._record("label", answer, "vector", str(h))
 
     def comparison_query(
         self,
@@ -130,23 +132,41 @@ class HiddenPointOracle:
         if self._family is not None:
             self._check_member(h1, "comparison")
             self._check_member(h2, "comparison")
-        # <h1, x> - <h2, x> without building the difference vector; a
-        # cached value was dimension-checked when it was computed
-        hit1 = self._values.get(id(h1))
-        hit2 = self._values.get(id(h2))
-        if hit1 is not None and hit2 is not None:
-            answer = sign_of(hit1[1] - hit2[1])
-        elif h1.ints is not None and h2.ints is not None:
-            answer = sign_of(self._value(h1) - self._value(h2))
-        else:
-            answer = self._sign_at(h1 - h2)
-        self.ledger.comparison_count += 1
-        if self.ledger.log is not None:
-            entry = {"kind": "cmp", "answer": answer.char}
-            if idents is not None:
-                entry["ids"] = list(idents)
-            else:
-                entry["vectors"] = [str(h1), str(h2)]
-            self.ledger.log.append(entry)
-        return answer
+        # <h1, x> - <h2, x> without building the difference vector
+        answer = sign_of(self._dot(h1) - self._dot(h2))
+        if idents is not None:
+            return self._record("cmp", answer, "ids", list(idents))
+        return self._record("cmp", answer, "vectors", [str(h1), str(h2)])
 
+    def query_rows(
+        self, family: Family, ids: Sequence[int]
+    ) -> tuple[list[Sign], Callable[[int, int], Sign]]:
+        """Label the rows of family indexed by ids, in order, and return
+        those labels with compare(p, q), the comparison query of rows
+        ids[p] and ids[q].
+
+        Each answer is counted and logged exactly as label_query(
+        family[i], ident=i) and comparison_query(family[i], family[j],
+        idents=(i, j)) would count and log it.  The values of all the
+        rows come from one exact product; a family's common denominator
+        scales them by one positive factor, which changes no sign.  In
+        strict mode every row is checked against the declared family
+        before any query is counted.
+        """
+        self._check_dim(family.dim)
+        ids = list(ids)
+        if self._family is not None:
+            for h in family.members(ids):
+                self._check_member(h, "label")
+        rows = family.rows[np.asarray(ids, dtype=np.intp)]
+        values = exact_product(rows, self._secret_col).tolist()
+        labels = [_SIGN_AT[(v > 0) - (v < 0)] for v in values]
+        record = self._record
+        for i, answer in zip(ids, labels):
+            record("label", answer, "id", i)
+
+        def compare(p: int, q: int) -> Sign:
+            d = values[p] - values[q]
+            return record("cmp", _SIGN_AT[(d > 0) - (d < 0)], "ids", [ids[p], ids[q]])
+
+        return labels, compare

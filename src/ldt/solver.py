@@ -15,9 +15,12 @@ the seed.
 The family is converted to one integer matrix once per solve (see
 geometry.Family), and the bookkeeping runs on it as array operations:
 duplicate and zero rows, the coordinate bound W, and the live set as
-an ascending array of row indices.  Only the sample members and the
-rows labelled directly are ever turned into Vectors, for the oracle,
-each set from one conversion of its rows (Family.members).
+an ascending array of row indices.  The oracle is asked about rows by
+index (HiddenPointOracle.query_rows), so no query needs a Vector.  A
+round's sample members become Vectors, from one conversion of their
+rows (Family.members), for its sorted sample; in strict mode the
+oracle also builds the Vectors of every row it is asked about, the
+direct labels' included, to check them against the declared family.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def solve(
         mark = oracle.ledger.snapshot()
         live_before = live.size
         picks = live[rng.sample_indices(live.size, s_target)].tolist()
-        ss = build_sorted_sample(list(zip(picks, family.members(picks))), oracle)
+        ss = build_sorted_sample(picks, family, oracle)
         cell = cell_from_sample(ss, family)
         outcome = infer_set(cell, live, family)
         ids, inferred = outcome.inferred.arrays()
@@ -181,9 +184,8 @@ def solve(
         )
 
     final_labels = live.size
-    ids = live.tolist()
-    for i, v in zip(ids, family.members(ids)):
-        signs[i] = oracle.label_query(v, ident=i)
+    labels, _ = oracle.query_rows(family, live.tolist())
+    signs[live] = labels
 
     after = oracle.ledger.snapshot()
     return SolveReport(

@@ -57,9 +57,9 @@ def _random_cell(rng, dim, n_members, width=2):
         if v.is_zero() or v.coords in seen:
             continue
         seen.add(v.coords)
-        members.append((len(members), v))
+        members.append(v)
     oracle = HiddenPointOracle(secret)
-    return build_sorted_sample(members, oracle), secret, seen
+    return build_sorted_sample(range(n_members), Family.of(members), oracle), secret, seen
 
 
 def _with_members(sample, vectors):
@@ -133,9 +133,8 @@ def _sample_cases():
 def test_chain_cell_matches_the_vector_by_vector_reference():
     seen = {"ties": 0, "zero block": 0, "no equalities": 0, "huge": 0}
     for secret, vecs in _sample_cases():
-        members = [(i, Vector(v)) for i, v in enumerate(vecs)]
-        sample = build_sorted_sample(members, HiddenPointOracle(Vector(secret)))
-        family = Family.of(v for _, v in members)
+        family = Family.of(Vector(v) for v in vecs)
+        sample = build_sorted_sample(range(len(vecs)), family, HiddenPointOracle(Vector(secret)))
         rows = family.rows
         try:
             n_red, z, kb, reps, chain = _chain_cell_reference(sample, rows)
@@ -273,7 +272,7 @@ def test_regression_open_cone_overclaim():
     ]
     secret = Vector([Fraction(-1), Fraction(-7), Fraction(7)])
     oracle = HiddenPointOracle(secret)
-    sample = build_sorted_sample([(i, v) for i, v in enumerate(family)], oracle)
+    sample = build_sorted_sample(range(3), Family.of(family), oracle)
     family, live, cell = _with_members(sample, [Vector([-2, -1, 2])])
     out = infer_set(cell, live, family)
     assert out.undetermined.tolist() == [3]
@@ -282,9 +281,9 @@ def test_regression_open_cone_overclaim():
 def test_zero_combination_inferred_without_queries():
     # equal values make consecutive gaps equalities; their span is dead
     secret = Vector([5, 5, 1])
-    members = [(0, Vector([1, 0, 0])), (1, Vector([0, 1, 0]))]
+    members = Family.of([Vector([1, 0, 0]), Vector([0, 1, 0])])
     oracle = HiddenPointOracle(secret)
-    sample = build_sorted_sample(members, oracle)
+    sample = build_sorted_sample(range(2), members, oracle)
     family, live, cell = _with_members(sample, [Vector([3, -3, 0])])
     out = infer_set(cell, live, family)
     assert out.inferred[2] is Sign.ZERO
@@ -293,9 +292,9 @@ def test_zero_combination_inferred_without_queries():
 def test_huge_coordinates_take_exact_path():
     big = 1 << 40
     secret = Vector([big, 1])
-    members = [(0, Vector([1, 0])), (1, Vector([0, 1]))]
+    members = Family.of([Vector([1, 0]), Vector([0, 1])])
     oracle = HiddenPointOracle(secret)
-    sample = build_sorted_sample(members, oracle)
+    sample = build_sorted_sample(range(2), members, oracle)
     targets = [Vector([big, big]), Vector([1, -1]), Vector([-big, 0])]
     family, live, cell = _with_members(sample, targets)
     out = infer_set(cell, live, family)
@@ -756,7 +755,7 @@ def test_fast_uniform_tier_only_speeds_up_the_anchored_one():
     family = enc.family
     ids = sorted(rng.sample_indices(len(family), 150))
     oracle = HiddenPointOracle(enc.hidden)
-    cc = cell_from_sample(build_sorted_sample(list(zip(ids, family.members(ids))), oracle), family)
+    cc = cell_from_sample(build_sorted_sample(ids, family, oracle), family)
     assert cc.KB is None and cc.n_red == 24
     live = np.setdiff1d(np.arange(len(family)), ids)
     H = family.rows[live]

@@ -12,8 +12,8 @@ from ldt.oracle import HiddenPointOracle
 
 def _sample(member_vecs, secret):
     oracle = HiddenPointOracle(Vector(secret))
-    members = [(i, Vector(v)) for i, v in enumerate(member_vecs)]
-    return build_sorted_sample(members, oracle), oracle
+    family = Family.of(Vector(v) for v in member_vecs)
+    return build_sorted_sample(range(len(family)), family, oracle), oracle
 
 
 def test_sorted_sample_frozen_units():
@@ -73,16 +73,6 @@ def _order_and_gaps(blocks):
     return order, gaps[1:]
 
 
-class _RecordingOracle(HiddenPointOracle):
-    def __init__(self, secret):
-        super().__init__(secret)
-        self.pairs = []
-
-    def comparison_query(self, h1, h2, idents=None):
-        self.pairs.append(idents)
-        return super().comparison_query(h1, h2, idents)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),
@@ -100,26 +90,33 @@ def test_block_sort_matches_stable_sort(dim, value_range, size, data):
     values = data.draw(
         st.lists(st.integers(*value_range), min_size=size, max_size=size)
     )
-    members = []
-    for pos, val in enumerate(values):
+    vecs = []
+    for val in values:
         rest = data.draw(st.lists(coord, min_size=dim - 1, max_size=dim - 1))
         head = val - sum(a * b for a, b in zip(rest, secret[1:]))
-        members.append((10 * pos + 7, Vector([head] + rest)))
-    oracle = _RecordingOracle(Vector(secret))
-    sample = build_sorted_sample(members, oracle)
+        vecs.append(Vector([head] + rest))
+    # the member at position pos is family row size - 1 - pos, so the
+    # logged row indices differ from the member positions; the last row,
+    # in no sample, gives an empty sample's family its dimension
+    ids = list(range(size - 1, -1, -1))
+    family = Family.of(vecs[::-1] + [Vector([0] * dim)])
+    oracle = HiddenPointOracle(Vector(secret), log_queries=True)
+    sample = build_sorted_sample(ids, family, oracle)
 
     assert sample.labels == [sign_of(v) for v in values]
     assert _order_and_gaps(sample.blocks) == _reference_sort(values)
-    label_of = {ident: lab for (ident, _), lab in zip(members, sample.labels)}
+    assert [v for _, v in sample.members] == vecs
+    label_of = dict(zip(ids, sample.labels))
+    pairs = [e["ids"] for e in oracle.ledger.log if e["kind"] == "cmp"]
     seen = set()
-    for a, b in oracle.pairs:
+    for a, b in pairs:
         assert label_of[a] is label_of[b] is not Sign.ZERO
         assert frozenset((a, b)) not in seen
         seen.add(frozenset((a, b)))
     counts = [sample.labels.count(lab) for lab in (Sign.MINUS, Sign.PLUS)]
     budget = sum(c * math.ceil(math.log2(c)) for c in counts if c)
-    assert oracle.ledger.snapshot() == (size, len(oracle.pairs))
-    assert len(oracle.pairs) <= budget
+    assert oracle.ledger.snapshot() == (size, len(pairs))
+    assert len(pairs) <= budget
 
 
 def test_cell_pins_witness_signs():

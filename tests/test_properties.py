@@ -87,13 +87,11 @@ def test_infer_set_sound_and_complete(secret, data):
             max_size=n_members,
         )
     )
-    members = [(i, Vector(r)) for i, r in enumerate(rows)]
-    oracle = HiddenPointOracle(x)
-    sample = build_sorted_sample(members, oracle)
     t_rows = data.draw(
         st.lists(st.lists(small_ints, min_size=dim, max_size=dim), min_size=1, max_size=5)
     )
-    family = Family.of([v for _, v in members] + [Vector(r) for r in t_rows])
+    family = Family.of([Vector(r) for r in rows + t_rows])
+    sample = build_sorted_sample(range(n_members), family, HiddenPointOracle(x))
     targets = [(n_members + i, family[n_members + i]) for i in range(len(t_rows))]
     outcome = infer_set(cell_from_sample(sample, family), [i for i, _ in targets], family)
     ref = RationalCell(sample, dim)
