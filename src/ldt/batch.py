@@ -6,9 +6,21 @@ differences of the sorted chain.  Over such a cone a hyperplane is
 sign-constant exactly when it, or its negation, is a nonnegative
 combination of those differences, so inference reduces to cone
 membership.  This module answers that question for a whole live set at
-once, cheapest proof first:
+once.  Rows are first reduced modulo the equality span, where a
+vanishing reduction means ZERO.  A cell of reduced dimension at most
+_RAY_DIM is then decided in one step:
 
-  * reduce modulo the equality span; a vanishing reduction means ZERO;
+  * the integer double description (intlin.cone_generators) gives the
+    lineality basis and the extreme rays of the closed cone, and exact
+    products with them decide every row, completely: PLUS when
+    the row vanishes on the lineality and is nonnegative on every ray,
+    MINUS mirrored, undetermined otherwise.  A closed cone without an
+    interior cannot hold an honest hidden point and raises
+    InconsistentSampleError.
+
+Above that dimension, or once the generators outnumber the rows left
+to decide, the tiers run instead, cheapest proof first:
+
   * reject against a pool of exact interior points (mixed signs, or a
     zero value at an interior point, rule inference out);
   * certify by dominance: the harvested coordinate comparisons, closed
@@ -25,6 +37,7 @@ once, cheapest proof first:
 
 Floating point only ever proposes, and numpy does all of it: a
 matrix rank proposes where the kernel basis may stop eliminating, a
+normalised product picks the double description's next constraint, a
 log-barrier Newton method (linprog) proposes the pool's max-margin
 point and a Lawson-Hanson NNLS (_nnls) proposes certificate supports
 and Farkas vectors.  Every accepted sign carries an exact certificate,
@@ -32,8 +45,9 @@ so a wrong answer is impossible; the only cost of a missed proof is a
 hyperplane left undetermined.  Pool points are verified too, so a poor
 proposal only weakens the screen.  All exact algebra is fraction-free
 integer arithmetic from intlin: the kernel bases of the equalities and
-of a Farkas vector's tight rows, the integer products that reduce the
-cell and the live rows by it, screen them against the pool and check
+of a Farkas vector's tight rows, the cone's rays and lineality, the
+integer products that reduce the cell and the live rows by it, decide
+the rows against the rays, screen them against the pool and check
 every Farkas vector (exact_product, int64 while the sums fit), and the
 batched support solves that verify least-squares proposals (one
 elimination per support, one product with all its targets).
@@ -50,6 +64,7 @@ returned as arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 from math import frexp, sqrt
 from typing import Sequence
@@ -59,6 +74,7 @@ import numpy as np
 from .geometry import Family, Sign, SignVector
 from .inference import InconsistentSampleError, InferenceOutcome, SortedSample
 from .intlin import (
+    cone_generators,
     exact_product,
     hash_weights,
     kernel_matrix,
@@ -70,6 +86,10 @@ _POOL_TARGET = 64
 _ANCHORS = 48
 _UNIT_CAP = 12
 _EXACT_LP_DIM = 16
+# the extreme rays decide a cell up to this reduced dimension: on
+# solved cells they took at most half the tiers' time through 8, and up
+# to 1.25 and 1.74 times it at 9 and 10 (BENCH_17.json)
+_RAY_DIM = 8
 _NEWTON_CAP = 200
 _BARRIER_GROWTH = 100.0
 _NNLS_ITERS_PER_COLUMN = 3
@@ -89,7 +109,8 @@ class ChainCell:
     holds the representatives above the origin and below the negations
     of those beneath it, both nearest first and at most _ANCHORS long:
     every one is positive over the cell, an anchor for the
-    certificates of its own side.
+    certificates of its own side.  Only the tiers read chain_t, order,
+    above and below, so each is built on first use.
     """
 
     KB: np.ndarray | None
@@ -97,21 +118,28 @@ class ChainCell:
     z: int
     chain: np.ndarray
     sample: SortedSample | None = field(default=None, repr=False)
-    chain_t: np.ndarray = field(init=False)
-    order: np.ndarray = field(init=False, repr=False)
-    above: list[list[int]] = field(init=False, repr=False)
-    below: list[list[int]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.chain_t = self.chain.T.astype(np.float64)
-        self.order = _harvest_atoms(self.reps)
-        z = self.z
-        self.above = self.reps[z + 1:z + 1 + _ANCHORS].tolist()
-        self.below = (-self.reps[max(z - _ANCHORS, 0):z][::-1]).tolist()
 
     @property
     def n_red(self) -> int:
         return self.reps.shape[1]
+
+    @cached_property
+    def chain_t(self) -> np.ndarray:
+        return self.chain.T.astype(np.float64)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return _harvest_atoms(self.reps)
+
+    @cached_property
+    def above(self) -> list[list[int]]:
+        z = self.z
+        return self.reps[z + 1:z + 1 + _ANCHORS].tolist()
+
+    @cached_property
+    def below(self) -> list[list[int]]:
+        z = self.z
+        return (-self.reps[max(z - _ANCHORS, 0):z][::-1]).tolist()
 
 
 def cell_from_sample(sample: SortedSample, family: Family) -> ChainCell:
@@ -595,6 +623,41 @@ def infer_set(cell: ChainCell, live: Sequence[int], family: Family) -> Inference
     )
 
 
+def _ray_signs(cc: ChainCell, H: np.ndarray) -> np.ndarray | None:
+    """Signs (-1, 0, 1, as int8) of the nonzero reduced rows H over the
+    cell, from the exact generators of its closure, or None when they
+    outnumber the rows.
+
+    The closure is the cone P = {y : chain y >= 0}.  A row is PLUS on
+    the open cell exactly when it vanishes on P's lineality space and is
+    nonnegative on every extreme ray: then it is nonnegative on P, and
+    positive inside it, since P has an interior and the row is nonzero.
+    MINUS mirrors this, and every other row takes both signs, so the
+    decision is complete.  A P with no interior cannot hold the hidden
+    point strictly inside every chain gap.  Memory stays within a few
+    copies of H, however many rays there are.
+    """
+    gens = cone_generators(cc.chain, len(H))
+    if gens is None:
+        return None
+    L, R, interior = gens
+    if not interior:
+        raise InconsistentSampleError("the chain gaps leave the cell no interior")
+    plus = ~exact_product(H, L).any(axis=1)
+    minus = plus.copy()
+    # the rays go in blocks of n_red, so no product outgrows H, and a row
+    # leaves the products once it has taken both signs
+    nr = H.shape[1]
+    for start in range(0, R.shape[1], nr):
+        rows = np.flatnonzero(plus | minus)
+        if not rows.size:
+            break
+        V = exact_product(H[rows], R[:, start:start + nr])
+        plus[rows] &= (V >= 0).all(axis=1)
+        minus[rows] &= (V <= 0).all(axis=1)
+    return plus.astype(np.int8) - minus
+
+
 def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signs (-1, 0, 1, as int8) of the rows of Hfull over the cell, and
     which of them are settled."""
@@ -609,6 +672,12 @@ def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     zero_rows = ~np.any(Hred != 0, axis=1)
     signs = np.zeros(N, dtype=np.int8)
+    rows = np.flatnonzero(~zero_rows)
+    if rows.size and nr <= _RAY_DIM:
+        decided = _ray_signs(cc, Hred[rows])
+        if decided is not None:
+            signs[rows] = decided
+            return signs, zero_rows | (signs != 0)
     settled = np.array(zero_rows, dtype=bool, copy=True)
 
     # an empty pool means nothing to screen with; every nonzero row is
@@ -656,5 +725,6 @@ def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 signs[i] = flip
                 settled[i] = True
 
-    # proven outside the cone is settled too, with sign 0: not inferable
+    # rows proven outside the cone keep sign 0 and stay undetermined,
+    # so they get direct labels
     return signs, zero_rows | (signs != 0)

@@ -54,17 +54,21 @@ class Sign(IntEnum):
 
     @property
     def char(self) -> str:
-        return {Sign.MINUS: "-", Sign.ZERO: "0", Sign.PLUS: "+"}[self]
+        return _SIGN_TO_CHAR[self]
 
     @classmethod
     def from_char(cls, ch: str) -> "Sign":
         try:
-            return {"-": cls.MINUS, "0": cls.ZERO, "+": cls.PLUS}[ch]
+            return _CHAR_TO_SIGN[ch]
         except KeyError:
             raise ValueError(f"not a sign character: {ch!r}") from None
 
     def flipped(self) -> "Sign":
         return Sign(-int(self))
+
+
+_SIGN_TO_CHAR = {Sign.MINUS: "-", Sign.ZERO: "0", Sign.PLUS: "+"}
+_CHAR_TO_SIGN = {ch: sign for sign, ch in _SIGN_TO_CHAR.items()}
 
 
 def sign_of(q: Rational | int) -> Sign:

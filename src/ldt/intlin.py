@@ -10,6 +10,9 @@ and exact_product multiplies integer matrices without overflow, which
 is also how every proposed certificate is checked.
 The one float in them, a matrix rank that tells the kernel basis where
 its elimination may stop, is checked exactly before it is trusted.
+A low-dimensional cell's cone also gets its exact generators, a
+lineality basis and the extreme rays, from cone_generators, a double
+description built on the same products.
 Rows are kept primitive (gcd content divided out) and combined by
 cross-multiplication; every division is exact, so no rational number
 is ever formed, and a rational value appears only as an integer
@@ -165,6 +168,111 @@ def nonnegative_solutions(
     return (num[:, inside] >= 0).all(axis=1) & (num[:, ~inside] == 0).all(axis=1)
 
 
+def cone_generators(
+    C: np.ndarray, limit: int
+) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """Lineality basis and extreme rays of the cone {y : C y >= 0}.
+
+    The double description method (Motzkin, Raiffa, Thompson and
+    Thrall, 1953; Fukuda and Prodon, 1996), fraction-free.  It starts
+    from the whole space, a lineality basis L = I and no rays, and
+    takes only constraints that some current generator violates: a
+    constraint every generator satisfies holds on the whole current
+    cone and so on every smaller one, and is dropped for good.  A
+    violated constraint c first consumes a lineality column l0 with
+    c l0 != 0: oriented so that c l0 > 0, l0 becomes a ray, and every
+    other generator g becomes (c l0) g - (c g) l0, which c vanishes on.
+    Otherwise the rays split into c r > 0, = 0 and < 0; the last are
+    dropped, and each adjacent pair (p, q) across the split adds
+    (c p) q - (c q) p.  Adjacency is combinatorial: no third ray is
+    tight on every processed constraint both are tight on.  Every column
+    is primitive, and generator_matrix and exact_product keep them
+    int64 until GEMM_GUARD.  Floats only pick which violated constraint
+    comes next, the one that cuts deepest into a generator.
+
+    Returns (L, R, interior), L and R integer matrices with the
+    generators as columns and interior false when the cone lies in a
+    hyperplane: some processed constraint vanishes on every generator.
+    Returns None once the generators outnumber limit.
+    """
+    n = C.shape[1]
+    lin = [[int(i == j) for i in range(n)] for j in range(n)]
+    rays: list[list[int]] = []
+    # bit k of tight[i]: the k-th processed constraint vanishes on rays[i]
+    tight: list[int] = []
+    norms = np.linalg.norm(C.astype(np.float64), axis=1)
+    done = 0
+    while len(C):
+        nl = len(lin)
+        G = generator_matrix(lin + rays, n).T
+        S = exact_product(C, G)
+        bad = (S[:, :nl] != 0).any(axis=1) | (S[:, nl:] < 0).any(axis=1)
+        if not bad.any():
+            break
+        C, S, norms = C[bad], S[bad], norms[bad]
+        depth = S.astype(np.float64) / norms[:, None]
+        depth /= np.linalg.norm(G.astype(np.float64), axis=0)
+        depth[:, :nl] = -np.abs(depth[:, :nl])
+        pick = int(np.argmin(depth.min(axis=1)))
+        s = S[pick].tolist()
+        keep = np.arange(len(C)) != pick
+        C, norms = C[keep], norms[keep]
+        bit = 1 << done
+        done += 1
+        hits = [j for j in range(nl) if s[j]]
+        if hits:
+            j0 = min(hits, key=lambda j: abs(s[j]))
+            a = s[j0]
+            l0 = lin[j0] if a > 0 else [-x for x in lin[j0]]
+            a = abs(a)
+            lin = [
+                _content_free([a * x - sj * y for x, y in zip(g, l0)])
+                for j, (g, sj) in enumerate(zip(lin, s)) if j != j0
+            ]
+            rays = [
+                _content_free([a * x - sr * y for x, y in zip(r, l0)])
+                for r, sr in zip(rays, s[nl:])
+            ]
+            tight = [t | bit for t in tight]
+            rays.append(l0)
+            tight.append(bit - 1)
+        else:
+            sr = s[nl:]
+            need = n - nl - 2
+            new_rays = [r for r, v in zip(rays, sr) if v >= 0]
+            new_tight = [t | (0 if v else bit) for t, v in zip(tight, sr) if v >= 0]
+            for p, vp in enumerate(sr):
+                if vp <= 0:
+                    continue
+                for q, vq in enumerate(sr):
+                    if vq >= 0:
+                        continue
+                    common = tight[p] & tight[q]
+                    if common.bit_count() < need or any(
+                        not common & ~t
+                        for i, t in enumerate(tight)
+                        if i != p and i != q
+                    ):
+                        continue
+                    new_rays.append(
+                        _content_free([vp * x - vq * y for x, y in zip(rays[q], rays[p])])
+                    )
+                    new_tight.append(common | bit)
+            rays, tight = new_rays, new_tight
+        if len(lin) + len(rays) > limit:
+            return None
+    implicit = (1 << done) - 1
+    for t in tight:
+        implicit &= t
+    return generator_matrix(lin, n).T, generator_matrix(rays, n).T, not implicit
+
+
+def _content_free(col: list[int]) -> list[int]:
+    """col divided by the gcd of its entries, direction kept."""
+    g = gcd(*col)
+    return col if g <= 1 else [a // g for a in col]
+
+
 def generator_matrix(rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:
     """The rows as one (len(rows), dim) integer matrix: int64 while every
     entry stays below GEMM_GUARD, Python integers (object dtype) past it."""
@@ -196,8 +304,13 @@ def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B exactly: in int64 while GEMM_GUARD bounds every sum, in
     Python integers (object dtype) past it or when either is object."""
     if A.dtype != object and B.dtype != object:
-        top = int(np.abs(A).max(initial=0)) * int(np.abs(B).max(initial=0))
-        if top * A.shape[-1] < GEMM_GUARD:
+        if _largest(A) * _largest(B) * A.shape[-1] < GEMM_GUARD:
             return A @ B
     return A.astype(object) @ B.astype(object)
+
+
+def _largest(M: np.ndarray) -> int:
+    """The largest absolute entry of an int64 matrix, 0 when it is empty.
+    Two reductions read M without the copy np.abs would make."""
+    return max(int(M.max(initial=0)), -int(M.min(initial=0)))
 

@@ -3,7 +3,10 @@ rational simplex route (lp.infer_sign) on every hyperplane: same inferred signs,
 undetermined set, across random cells.  Its integer cell must equal
 the one built vector by vector, its numpy proposers (the pool program
 and the NNLS) are checked against scipy where it is installed, and
-every pool point must be exactly interior."""
+every pool point must be exactly interior.  Below the ray cap the
+extreme rays decide a cell completely, so there the engine must equal
+the rational route row for row, and on solved cells the rays and the
+tiers must give the same verdicts."""
 
 import os
 import subprocess
@@ -245,6 +248,121 @@ def test_engine_agrees_with_simplex_route():
                 assert batch_out.inferred.get(ident) is slow
 
 
+@st.composite
+def ray_cells(draw):
+    """A sorted sample over small vectors and rows to decide against it.
+
+    Small entries and a secret with zero coordinates make ties, zero
+    blocks and lineality common, and an all-zero secret leaves no chain
+    rows; with huge set, coordinate 0 of every vector is scaled by 2^62
+    (the secret's by 2^-62, which keeps every value), so the rows are
+    object matrices."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    coords = st.integers(min_value=-2, max_value=2)
+    vector = st.lists(coords, min_size=dim, max_size=dim).filter(any)
+    secret = draw(st.lists(coords, min_size=dim, max_size=dim))
+    members = draw(st.lists(vector, min_size=1, max_size=7))
+    rows = draw(st.lists(vector, min_size=1, max_size=8))
+    huge = draw(st.booleans())
+    if huge:
+        secret[0] = Fraction(secret[0], 1 << 62)
+        for v in members + rows:
+            v[0] <<= 62
+    return Vector(secret), [Vector(v) for v in members], [Vector(v) for v in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ray_cells())
+def test_ray_decision_matches_the_simplex_route(case):
+    # below the ray cap the decision is complete: every row the Fraction
+    # reference infers is inferred with its sign, every other row stays
+    # undetermined, and no tier runs
+    secret, members, vecs = case
+    family = Family.of(members)
+    sample = build_sorted_sample(range(len(members)), family, HiddenPointOracle(secret))
+    family, live, cell = _with_members(sample, vecs)
+    assert cell.n_red <= batch._RAY_DIM
+    event("no chain rows" if not len(cell.chain) else f"n_red {cell.n_red}")
+
+    def forbidden(cc):
+        raise AssertionError("no tier runs below the ray cap")
+
+    generators = batch.cone_generators
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_build_pool", forbidden)
+        # however few rows there are to decide, the rays decide them
+        mp.setattr(batch, "cone_generators", lambda C, limit: generators(C, 1 << 30))
+        out = infer_set(cell, live, family)
+    ref = RationalCell(sample, family.dim)
+    for ident, v in zip(live, vecs):
+        slow = infer_sign(ref, v)
+        if slow is None:
+            assert ident in out.undetermined
+        else:
+            assert out.inferred.get(ident) is slow
+
+
+def test_a_cell_without_interior_raises_typed_error():
+    # 0 < a < b < c with c = 2a - b: the gap c - b = 2(a - b) is twice
+    # the negated gap b - a, so the closed cell y1 >= 0, y2 >= y1,
+    # y1 >= y2 is a single ray and no point lies strictly inside it
+    members = [(0, Vector([1, 0])), (1, Vector([0, 1])), (2, Vector([2, -1]))]
+    sample = SortedSample(members, [P, P, P], [[0], [1], [2]])
+    family, live, cell = _with_members(sample, [Vector([1, 1]), Vector([1, -1])])
+    assert cell.n_red == 2 and len(cell.chain) == 3
+    with pytest.raises(InconsistentSampleError):
+        infer_set(cell, live, family)
+
+
+RAY_CASES = {
+    "ksum16": lambda r: encode_ksum(random_ksum_instance(r, 16, 3, True), 3),
+    "ksum24": lambda r: encode_ksum(random_ksum_instance(r, 24, 3, True), 3),
+    "subset-sum": lambda r: encode_subset_sum(random_subset_sum_instance(r, 10, True)),
+    "sumset": lambda r: encode_sort_sumset(*random_sumset_instance(r, 6, 6)),
+    "kldt": lambda r: encode_kldt(*random_kldt_instance(r, 9, 3, True)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RAY_CASES))
+def test_rays_and_tiers_agree_on_solved_cells(kind, monkeypatch):
+    # every cell at or below the ray cap from a c=1/2 and a c=1 solve,
+    # decided once by the tiers and once by the rays, gets the same
+    # verdict on every row; at c=1/2 the 3-SUM n=16 and sumset cells
+    # lie above the cap, at c=1 every kind has cells below it
+    cells = []
+    decide = batch._decide_rows
+
+    def recording(cc, H):
+        if cc.n_red <= batch._RAY_DIM:
+            cells.append((cc, H))
+        return decide(cc, H)
+
+    monkeypatch.setattr(batch, "_decide_rows", recording)
+    for sample_constant in (Fraction(1, 2), Fraction(1)):
+        enc = RAY_CASES[kind](SplitMix64(1))
+        solve(
+            enc.family,
+            HiddenPointOracle(enc.hidden),
+            SolveConfig(seed=1, sample_constant=sample_constant),
+        )
+    monkeypatch.undo()
+    assert cells
+
+    def forbidden(cc):
+        raise AssertionError("the rays decide every cell here")
+
+    generators = batch.cone_generators
+    for cc, H in cells:
+        monkeypatch.setattr(batch, "_RAY_DIM", 0)
+        tiers = decide(cc, H)
+        monkeypatch.undo()
+        monkeypatch.setattr(batch, "_build_pool", forbidden)
+        monkeypatch.setattr(batch, "cone_generators", lambda C, limit: generators(C, 1 << 30))
+        rays = decide(cc, H)
+        monkeypatch.undo()
+        assert np.array_equal(tiers[0], rays[0]) and np.array_equal(tiers[1], rays[1])
+
+
 def test_engine_never_contradicts_hidden_point():
     rng = SplitMix64(17)
     for _ in range(40):
@@ -351,6 +469,8 @@ def test_misuse_raises_value_error():
 
 
 def test_exact_membership_on_solved_ksum_cell(monkeypatch):
+    # the tiers decide only cells above the ray cap
+    monkeypatch.setattr(batch, "_RAY_DIM", 0)
     # this planted 3-SUM n=16 solve reduces a sample cell to 2 dimensions
     # over a long chain, and its stragglers reach the Farkas certificate
     sweeps = []
@@ -578,6 +698,8 @@ def test_nnls_matches_scipy_on_random_problems():
 
 
 def test_nnls_matches_scipy_on_a_solved_ksum_cell(monkeypatch):
+    # the tiers decide only cells above the ray cap
+    monkeypatch.setattr(batch, "_RAY_DIM", 0)
     calls = []
     nnls = batch._nnls
 
@@ -655,6 +777,8 @@ POOL_CASES = {
 
 @pytest.mark.parametrize("kind", sorted(POOL_CASES))
 def test_pool_points_are_exactly_interior_on_solved_cells(kind, monkeypatch):
+    # the tiers decide only cells above the ray cap
+    monkeypatch.setattr(batch, "_RAY_DIM", 0)
     make, sample_constant = POOL_CASES[kind]
     cells = []
     build = batch._build_pool

@@ -4,9 +4,12 @@ The Fraction versions below are the reference: a row-reduced echelon
 form over the rationals, a Bareiss forward pass followed by a rational
 back-substitution, and a phase-1 revised simplex over the rationals
 for cone membership, the reference the batch engine's Farkas
-certificate is checked against in test_batch.  Inputs mix zero,
-duplicate and dependent rows, negative entries, and entries of 2^62 or
-more.
+certificate is checked against in test_batch.  The double description
+is held to the definitions: every ray satisfies the rows with the
+tight-row rank of an extreme ray, the lineality basis spans the
+kernel, and every point of the cone is a combination of them.
+Inputs mix zero, duplicate and dependent rows, negative entries, and
+entries of 2^62 or more.
 """
 
 from fractions import Fraction
@@ -290,6 +293,69 @@ def test_support_solve_runs_one_elimination(monkeypatch):
     assert absorbed == 3
     assert got.tolist() == [support_solve_reference(cols, t, 3) for t in targets]
     assert got[:5].tolist() == [True, True, False, False, False]
+
+
+def _rank(rows, n):
+    return len(_rref_reference(rows, n)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(max_rows=9), st.data())
+def test_cone_generators_are_the_exact_extreme_rays(case, data):
+    # zero, repeated and dependent rows give lineality and redundant
+    # constraints; no rows at all leave the whole space; combinations of
+    # rows with entries of 2^62 or more arrive as object matrices
+    n, rows = case
+    C = generator_matrix(rows, n)
+    L, R, interior = intlin.cone_generators(C, 10_000)
+    lin, rays = L.T.tolist(), R.T.tolist()
+    products = [[sum(a * b for a, b in zip(row, g)) for g in lin + rays] for row in rows]
+    assert all(v == 0 for row in products for v in row[: len(lin)])
+    assert all(v >= 0 for row in products for v in row[len(lin):])
+    # L spans the kernel of C, and every ray is an extreme ray: its
+    # tight rows leave exactly one dimension past the lineality space
+    assert len(lin) == n - _rank(rows, n) == _rank(lin, n)
+    for r in rays:
+        assert any(r) and _gcd_all(r) == 1
+        tight = [row for row in rows if sum(a * b for a, b in zip(row, r)) == 0]
+        assert _rank(tight, n) == n - len(lin) - 1
+    assert len({tuple(r) for r in rays}) == len(rays)
+    assert interior is (_rank(lin + rays, n) == n)
+    # complete: a point satisfying every row is a combination of the
+    # rays and of the lineality columns taken either way
+    gens = rays + lin + [[-a for a in col] for col in lin]
+    points = [data.draw(st.lists(small, min_size=n, max_size=n)) for _ in range(4)]
+    points += [[sum(col) for col in zip(*rays)]] if rays else []
+    for y in points:
+        inside = all(sum(a * b for a, b in zip(row, y)) >= 0 for row in rows)
+        assert inside is (cone_member_reference(gens, y) is not None)
+
+
+def _gcd_all(col):
+    g = 0
+    for a in col:
+        g = _gcd(g, abs(a))
+    return g
+
+
+def test_cone_generators_combine_only_adjacent_rays():
+    # the cone over a unit square, cut off at one corner: the cut
+    # separates that corner from the three others, and the diagonal pair
+    # is not adjacent, so the cut adds two rays, not three
+    rows = [[1, 0, 0], [0, 1, 0], [-1, 0, 1], [0, -1, 1], [2, 2, -1]]
+    for order in ([0, 1, 2, 3, 4], [4, 0, 1, 2, 3], [2, 4, 0, 3, 1]):
+        L, R, interior = intlin.cone_generators(generator_matrix([rows[i] for i in order], 3), 100)
+        assert L.shape == (3, 0) and interior
+        assert sorted(R.T.tolist()) == [[0, 1, 1], [0, 1, 2], [1, 0, 1], [1, 0, 2], [1, 1, 1]]
+
+
+def test_cone_generators_hand_back_past_the_limit():
+    # the orthant of dimension 4 has four rays and no lineality; a cap
+    # below the generator count stops the construction
+    C = generator_matrix([[int(i == j) for j in range(4)] for i in range(4)], 4)
+    L, R, interior = intlin.cone_generators(C, 4)
+    assert L.shape == (4, 0) and sorted(R.T.tolist()) == sorted(C.tolist()) and interior
+    assert intlin.cone_generators(C, 3) is None
 
 
 def cone_member_reference(generators, target):
