@@ -82,7 +82,6 @@ from .intlin import (
     repeated,
 )
 
-_POOL_TARGET = 64
 _ANCHORS = 48
 _UNIT_CAP = 12
 _EXACT_LP_DIM = 16
@@ -145,13 +144,10 @@ class ChainCell:
 def cell_from_sample(sample: SortedSample, family: Family) -> ChainCell:
     """The reduced cell a sorted sample pins down.
 
-    The sample's member identifiers index family, whose matrix supplies
-    the member rows; a member whose vector is not its row is refused.
+    The sample's member ids index family, whose matrix supplies the
+    member rows.
     """
-    rows = family.rows[[ident for ident, _ in sample.members]]
-    for (ident, v), row in zip(sample.members, rows.tolist()):
-        if family.row_of(v) != tuple(row):
-            raise ValueError(f"identifier {ident} names two different vectors")
+    rows = family.rows[sample.ids]
     dim = rows.shape[1]
     blocks = sample.blocks
     labels = sample.labels
@@ -317,12 +313,11 @@ def _build_pool(cc: ChainCell) -> np.ndarray:
     integers at the scale 2^20; when the chain rows reject that, the
     same point is rounded at the smallest power of two S with
     S * margin > sqrt(n_red), past which rounding moves no unit row's
-    product by as much as the margin.  A point joins the pool only with
-    every strict product positive.  Unit perturbations of that point,
-    boosted, screen out the rows that vanish at it.  With no chain rows
-    the cell is the whole reduced space and signed units suffice.  An
-    empty result is allowed: the caller then simply has nothing to
-    screen with and leaves the round to direct labels.
+    product by as much as the margin.  The point is the pool only with
+    every strict product positive.  With no chain rows the cell is the
+    whole reduced space and signed units suffice.  An empty result is
+    allowed: the caller then simply has nothing to screen with and
+    leaves the round to direct labels.
     """
     nr = cc.n_red
     if not len(cc.chain):
@@ -332,24 +327,15 @@ def _build_pool(cc: ChainCell) -> np.ndarray:
     Cf = cc.chain_t.T
     # maximize the worst row margin, in units of each row's norm
     y, margin = linprog(Cf / np.linalg.norm(Cf, axis=1)[:, None])
-    if margin <= 1e-12:
-        return np.zeros((nr, 0), dtype=np.int64)
-    # |y_j| < 1 and margin > 1e-12 keep fine below 2^49 for n_red
-    # below 2^16, so 4096 times the rounded point stays inside int64
-    fine = 1 << frexp(sqrt(nr) / margin)[1]
-    for scale in (1 << 20, fine):
-        seed = np.rint(y * scale).astype(np.int64)
-        if seed.any() and (exact_product(C, seed) > 0).all():
-            break
-    else:
-        return np.zeros((nr, 0), dtype=np.int64)
-    # 4096 seed +- e_c for every coordinate c, in that order
-    nudged = np.repeat(seed[:, None] * 4096, 2 * nr, axis=1)
-    coord = np.arange(nr)
-    nudged[coord, 2 * coord] += 1
-    nudged[coord, 2 * coord + 1] -= 1
-    inside = (exact_product(C, nudged) > 0).all(axis=0)
-    return np.hstack([seed[:, None], nudged[:, inside]])[:, :_POOL_TARGET]
+    if margin > 1e-12:
+        # |y_j| < 1 and margin > 1e-12 keep fine below 2^49 for n_red
+        # below 2^16, so the rounded point stays inside int64
+        fine = 1 << frexp(sqrt(nr) / margin)[1]
+        for scale in (1 << 20, fine):
+            seed = np.rint(y * scale).astype(np.int64)
+            if seed.any() and (exact_product(C, seed) > 0).all():
+                return seed[:, None]
+    return np.zeros((nr, 0), dtype=np.int64)
 
 
 def _decompose_units(g: Sequence[int], order: list[list[bool]]) -> bool:
@@ -610,7 +596,7 @@ def infer_set(cell: ChainCell, live: Sequence[int], family: Family) -> Inference
     live = np.asarray(live, dtype=np.intp)
     # 2 marks the rows outside the sample
     queried = np.full(len(family), 2, dtype=np.int8)
-    queried[[ident for ident, _ in sample.members]] = [int(lab) for lab in sample.labels]
+    queried[sample.ids] = [int(lab) for lab in sample.labels]
     signs = queried[live]
     done = signs != 2
     rest = np.flatnonzero(~done)

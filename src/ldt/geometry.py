@@ -335,11 +335,6 @@ class Family(Sequence[Vector]):
         # an int64 row converts to Python ints, so no coordinate needs a check
         return Vector._of_ints(tuple(row))
 
-    def row_of(self, v: Vector) -> tuple[int, ...] | None:
-        """v as this family's matrix holds a row: its coordinates times
-        den, or None when those are not all integers."""
-        return v.ints if self.den == 1 else v.scaled(self.den).ints
-
     def __repr__(self) -> str:
         return f"Family({len(self)} rows, dim {self.dim}, den {self.den})"
 

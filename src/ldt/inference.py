@@ -3,8 +3,9 @@
 A queried sample pins the hidden point x into a cell: the set of points
 that agree with every queried label and with the sorted order of the
 sample's inner products.  This module labels the sample and sorts it by
-comparison queries into equal-value blocks; batch builds the cell from
-the result and infers the live rows against it.
+comparison queries into equal-value blocks; the sorted sample names its
+members by their row indices into the family, from whose matrix batch
+builds the cell and infers the live rows against it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Family, Sign, SignVector, Vector
+from .geometry import Family, Sign, SignVector
 # no code here calls feasible: the traced benchmark patches this binding
 # (its lp.feasible hook) and reads 0 calls from it
 from .lp import feasible  # noqa: F401
@@ -25,14 +26,14 @@ from .oracle import HiddenPointOracle
 class SortedSample:
     """Labels and sorted order of a queried sample.
 
-    members holds (identifier, vector) pairs; labels align with members.
-    blocks groups the member positions into equal-value blocks, each
-    ascending, listed by increasing inner product with the hidden point:
-    members of one block tie, and each block lies strictly below the
-    next.
+    ids holds the members' row indices into the family they were drawn
+    from, in sample order; labels align with ids.  blocks groups the
+    member positions into equal-value blocks, each ascending, listed by
+    increasing inner product with the hidden point: members of one block
+    tie, and each block lies strictly below the next.
     """
 
-    members: list[tuple[int, Vector]]
+    ids: list[int]
     labels: list[Sign]
     blocks: list[list[int]]
 
@@ -48,15 +49,15 @@ def build_sorted_sample(
     """Label the rows of family indexed by ids, then sort each label
     class by comparisons.
 
-    The oracle answers about the rows by index (query_rows), so asking
-    needs no Vector; the returned sample carries the members' Vectors,
-    built from one conversion of their rows (Family.members).  Labels
-    order the classes MINUS < ZERO < PLUS and make the ZERO class one
-    tie, so only MINUS and PLUS are sorted: a stable merge sort over
-    equal-value blocks that compares two block heads once and fuses them
-    on a tie.  No pair is compared twice or across labels, a member that
-    joined a block is never compared again, and a class of c members
-    costs at most c*ceil(log2 c) comparisons.
+    The oracle answers about the rows by index (query_rows), and the
+    returned sample names its members by the same indices, so neither
+    the queries nor the sample need a Vector.  Labels order the classes
+    MINUS < ZERO < PLUS and make the ZERO class one tie, so only MINUS
+    and PLUS are sorted: a stable merge sort over equal-value blocks
+    that compares two block heads once and fuses them on a tie.  No pair
+    is compared twice or across labels, a member that joined a block is
+    never compared again, and a class of c members costs at most
+    c*ceil(log2 c) comparisons.
     """
     ids = list(ids)
     labels, compare = oracle.query_rows(family, ids)
@@ -99,7 +100,7 @@ def build_sorted_sample(
         + ([zeros] if zeros else [])
         + merge_sort(by_label[Sign.PLUS])
     )
-    return SortedSample(list(zip(ids, family.members(ids))), labels, blocks)
+    return SortedSample(ids, labels, blocks)
 
 
 @dataclass

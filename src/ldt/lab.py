@@ -305,23 +305,22 @@ def sample_cell_patterns(
     return CellEnumeration(len(patterns), patterns, list(found.values()), exact=False)
 
 
-def sample_at(
-    members: Sequence[tuple[int, Vector]], x: Vector
-) -> SortedSample:
-    """Synthetic sorted sample evaluated directly at a known point.
+def sample_at(ids: Sequence[int], family: Family, x: Vector) -> SortedSample:
+    """Synthetic sorted sample of the rows of family indexed by ids,
+    evaluated directly at a known point.
 
     Lab-side substitute for oracle queries when the point is public.
     """
-    members = list(members)
-    values = [v.dot(x) for _, v in members]
+    ids = list(ids)
+    values = [family[i].dot(x) for i in ids]
     labels = [sign_of(val) for val in values]
     blocks: list[list[int]] = []
-    for i in sorted(range(len(members)), key=values.__getitem__):
+    for i in sorted(range(len(ids)), key=values.__getitem__):
         if blocks and values[blocks[-1][0]] == values[i]:
             blocks[-1].append(i)
         else:
             blocks.append([i])
-    return SortedSample(members, labels, blocks)
+    return SortedSample(ids, labels, blocks)
 
 
 def inference_dimension_exact(family: Sequence[Vector], d: int) -> bool:
@@ -345,6 +344,7 @@ def inference_dimension_exact(family: Sequence[Vector], d: int) -> bool:
         raise ValueError("d out of range")
     for subset in combinations(range(len(family)), d):
         svecs = [family[i] for i in subset]
+        sfam = Family.of(svecs)
         extended = list(svecs)
         seen = {v.coords for v in extended}
         for a, b in combinations(range(d), 2):
@@ -356,15 +356,13 @@ def inference_dimension_exact(family: Sequence[Vector], d: int) -> bool:
         for witness in cells.witnesses:
             ok = False
             for drop in range(d):
-                rest = [
-                    (i, svecs[i]) for i in range(d) if i != drop
-                ]
+                rest = [i for i in range(d) if i != drop]
                 if not rest:
                     if svecs[drop].is_zero():
                         ok = True
                         break
                     continue
-                cell = RationalCell(sample_at(rest, witness), dim)
+                cell = RationalCell(sample_at(rest, sfam, witness), sfam)
                 if infer_sign(cell, svecs[drop]) is not None:
                     ok = True
                     break
@@ -552,11 +550,10 @@ def crosscheck_inference(trials: int, seed: int = 0) -> tuple[int, int]:
             [Fraction(rng.randint(-9, 9), 1 + rng.below(9)) for _ in range(dim)]
         )
         size = min(m, 2 + rng.below(3))
-        members = [(i, family[i]) for i in range(size)]
-        sample = sample_at(members, x)
         rows = Family.of(family)
+        sample = sample_at(range(size), rows, x)
         outcome = infer_set(cell_from_sample(sample, rows), range(m), rows)
-        ref = RationalCell(sample, dim)
+        ref = RationalCell(sample, rows)
 
         good = True
         for i, h in enumerate(family):

@@ -10,7 +10,8 @@ termination and soundness are unconditional.
 On top of it sits the Fraction reference for sign inference, which the
 tests and lab cross-check the batched engine against; no solve runs
 it.  RationalCell holds the cell a sorted sample pins down as one
-system: one row per member label, one per consecutive sorted pair.
+system, reading the members' Vectors from the family their ids index:
+one row per member label, one per consecutive sorted pair.
 Transitivity makes this exact: every pairwise comparison inside the
 sample is a nonnegative combination of consecutive gaps, so the
 reduced system carves the same cell as the full quadratic one.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .geometry import Sign, Vector, sign_of
+from .geometry import Family, Sign, Vector, sign_of
 
 if TYPE_CHECKING:
     from .inference import SortedSample
@@ -238,10 +239,11 @@ def interior_witness(system: HomogeneousSystem) -> Vector | None:
 
 
 
-def _sample_system(sample: SortedSample, dim: int) -> HomogeneousSystem:
+def _sample_system(sample: SortedSample, family: Family) -> HomogeneousSystem:
+    members = family.members(sample.ids)
     strict: list[Vector] = []
     equalities: list[Vector] = []
-    for (_, v), lab in zip(sample.members, sample.labels):
+    for v, lab in zip(members, sample.labels):
         if lab is Sign.PLUS:
             strict.append(v)
         elif lab is Sign.MINUS:
@@ -253,23 +255,26 @@ def _sample_system(sample: SortedSample, dim: int) -> HomogeneousSystem:
     lo = None
     for blk in sample.blocks:
         for k, p in enumerate(blk):
-            hi = sample.members[p][1]
+            hi = members[p]
             if lo is not None:
                 (equalities if k else strict).append(hi - lo)
             lo = hi
-    return HomogeneousSystem(dim, strict=tuple(strict), equalities=tuple(equalities))
+    return HomogeneousSystem(
+        family.dim, strict=tuple(strict), equalities=tuple(equalities)
+    )
 
 
 class RationalCell:
     """The cell a sorted sample pins down, as one rational system.
 
-    constraints holds one row per member label and one per consecutive
-    gap; witness is an interior point of the cell, computed once, or
-    None when the cell is empty.
+    The sample's ids index family, which supplies the member vectors
+    and the dimension.  constraints holds one row per member label and
+    one per consecutive gap; witness is an interior point of the cell,
+    computed once, or None when the cell is empty.
     """
 
-    def __init__(self, sample: SortedSample, dim: int) -> None:
-        self.constraints = _sample_system(sample, dim)
+    def __init__(self, sample: SortedSample, family: Family) -> None:
+        self.constraints = _sample_system(sample, family)
         self.witness = interior_witness(self.constraints)
 
 

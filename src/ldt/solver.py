@@ -16,11 +16,10 @@ The family is converted to one integer matrix once per solve (see
 geometry.Family), and the bookkeeping runs on it as array operations:
 duplicate and zero rows, the coordinate bound W, and the live set as
 an ascending array of row indices.  The oracle is asked about rows by
-index (HiddenPointOracle.query_rows), so no query needs a Vector.  A
-round's sample members become Vectors, from one conversion of their
-rows (Family.members), for its sorted sample; in strict mode the
-oracle also builds the Vectors of every row it is asked about, the
-direct labels' included, to check them against the declared family.
+index (HiddenPointOracle.query_rows), and a round's sorted sample names
+its members by the same indices, so a solve builds no Vector.  Only in
+strict mode does the oracle build the Vectors of the rows it is asked
+about, to check them against the declared family.
 """
 
 from __future__ import annotations

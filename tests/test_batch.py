@@ -62,13 +62,15 @@ def _random_cell(rng, dim, n_members, width=2):
         seen.add(v.coords)
         members.append(v)
     oracle = HiddenPointOracle(secret)
-    return build_sorted_sample(range(n_members), Family.of(members), oracle), secret, seen
+    family = Family.of(members)
+    return build_sorted_sample(range(n_members), family, oracle), family, secret
 
 
-def _with_members(sample, vectors):
-    """The sample members (identifiers 0..k-1) followed by vectors, as one
-    family, the row indices of vectors in it, and the engine's cell."""
-    members = [v for _, v in sample.members]
+def _with_members(sample, members, vectors):
+    """The sample members (rows 0..k-1 of members, which its ids index)
+    followed by vectors, as one family, the row indices of vectors in
+    it, and the engine's cell."""
+    members = list(members)
     k = len(members)
     family = Family.of(members + list(vectors))
     return family, list(range(k, k + len(vectors))), cell_from_sample(sample, family)
@@ -235,11 +237,11 @@ def test_engine_agrees_with_simplex_route():
     rng = SplitMix64(42)
     for _ in range(60):
         dim = 2 + rng.below(3)
-        sample, secret, used = _random_cell(rng, dim, 2 + rng.below(3))
+        sample, members, secret = _random_cell(rng, dim, 2 + rng.below(3))
         vecs = [Vector([rng.randint(-2, 2) for _ in range(dim)]) for _ in range(6)]
-        family, live, cell = _with_members(sample, vecs)
+        family, live, cell = _with_members(sample, members, vecs)
         batch_out = infer_set(cell, live, family)
-        ref = RationalCell(sample, dim)
+        ref = RationalCell(sample, family)
         for ident, v in zip(live, vecs):
             slow = infer_sign(ref, v)
             if slow is None:
@@ -280,7 +282,7 @@ def test_ray_decision_matches_the_simplex_route(case):
     secret, members, vecs = case
     family = Family.of(members)
     sample = build_sorted_sample(range(len(members)), family, HiddenPointOracle(secret))
-    family, live, cell = _with_members(sample, vecs)
+    family, live, cell = _with_members(sample, members, vecs)
     assert cell.n_red <= batch._RAY_DIM
     event("no chain rows" if not len(cell.chain) else f"n_red {cell.n_red}")
 
@@ -293,7 +295,7 @@ def test_ray_decision_matches_the_simplex_route(case):
         # however few rows there are to decide, the rays decide them
         mp.setattr(batch, "cone_generators", lambda C, limit: generators(C, 1 << 30))
         out = infer_set(cell, live, family)
-    ref = RationalCell(sample, family.dim)
+    ref = RationalCell(sample, family)
     for ident, v in zip(live, vecs):
         slow = infer_sign(ref, v)
         if slow is None:
@@ -306,9 +308,9 @@ def test_a_cell_without_interior_raises_typed_error():
     # 0 < a < b < c with c = 2a - b: the gap c - b = 2(a - b) is twice
     # the negated gap b - a, so the closed cell y1 >= 0, y2 >= y1,
     # y1 >= y2 is a single ray and no point lies strictly inside it
-    members = [(0, Vector([1, 0])), (1, Vector([0, 1])), (2, Vector([2, -1]))]
-    sample = SortedSample(members, [P, P, P], [[0], [1], [2]])
-    family, live, cell = _with_members(sample, [Vector([1, 1]), Vector([1, -1])])
+    members = [Vector([1, 0]), Vector([0, 1]), Vector([2, -1])]
+    sample = SortedSample([0, 1, 2], [P, P, P], [[0], [1], [2]])
+    family, live, cell = _with_members(sample, members, [Vector([1, 1]), Vector([1, -1])])
     assert cell.n_red == 2 and len(cell.chain) == 3
     with pytest.raises(InconsistentSampleError):
         infer_set(cell, live, family)
@@ -367,9 +369,9 @@ def test_engine_never_contradicts_hidden_point():
     rng = SplitMix64(17)
     for _ in range(40):
         dim = 2 + rng.below(3)
-        sample, secret, _ = _random_cell(rng, dim, 3)
+        sample, members, secret = _random_cell(rng, dim, 3)
         vecs = [Vector([rng.randint(-3, 3) for _ in range(dim)]) for _ in range(8)]
-        family, live, cell = _with_members(sample, vecs)
+        family, live, cell = _with_members(sample, members, vecs)
         out = infer_set(cell, live, family)
         for ident, v in zip(live, vecs):
             got = out.inferred.get(ident)
@@ -391,7 +393,7 @@ def test_regression_open_cone_overclaim():
     secret = Vector([Fraction(-1), Fraction(-7), Fraction(7)])
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample(range(3), Family.of(family), oracle)
-    family, live, cell = _with_members(sample, [Vector([-2, -1, 2])])
+    family, live, cell = _with_members(sample, family, [Vector([-2, -1, 2])])
     out = infer_set(cell, live, family)
     assert out.undetermined.tolist() == [3]
 
@@ -402,7 +404,7 @@ def test_zero_combination_inferred_without_queries():
     members = Family.of([Vector([1, 0, 0]), Vector([0, 1, 0])])
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample(range(2), members, oracle)
-    family, live, cell = _with_members(sample, [Vector([3, -3, 0])])
+    family, live, cell = _with_members(sample, members, [Vector([3, -3, 0])])
     out = infer_set(cell, live, family)
     assert out.inferred[2] is Sign.ZERO
 
@@ -414,7 +416,7 @@ def test_huge_coordinates_take_exact_path():
     oracle = HiddenPointOracle(secret)
     sample = build_sorted_sample(range(2), members, oracle)
     targets = [Vector([big, big]), Vector([1, -1]), Vector([-big, 0])]
-    family, live, cell = _with_members(sample, targets)
+    family, live, cell = _with_members(sample, members, targets)
     out = infer_set(cell, live, family)
     assert out.inferred[2] is Sign.PLUS
     assert out.inferred[3] is Sign.PLUS
@@ -425,11 +427,11 @@ def test_sample_members_always_resolved():
     rng = SplitMix64(23)
     for _ in range(20):
         dim = 2 + rng.below(2)
-        sample, _, _ = _random_cell(rng, dim, 3)
-        family, _, cell = _with_members(sample, [])
+        sample, members, _ = _random_cell(rng, dim, 3)
+        family, _, cell = _with_members(sample, members, [])
         out = infer_set(cell, range(len(family)), family)
         assert not out.undetermined.size
-        for (ident, _), lab in zip(sample.members, sample.labels):
+        for ident, lab in zip(sample.ids, sample.labels):
             assert out.inferred[ident] is lab
 
 
@@ -450,22 +452,15 @@ P, Z, M = Sign.PLUS, Sign.ZERO, Sign.MINUS
 def test_contradictory_answers_raise_typed_error(vectors, labels, gaps):
     # members in the given order, gaps[i] the sign between members i
     # and i + 1: ZERO extends a block, PLUS starts the next
-    members = [(i, Vector(v)) for i, v in enumerate(vectors)]
     blocks = [[0]]
     for p, gap in enumerate(gaps, start=1):
         if gap is Z:
             blocks[-1].append(p)
         else:
             blocks.append([p])
-    sample = SortedSample(members, labels, blocks)
+    sample = SortedSample(list(range(len(vectors))), labels, blocks)
     with pytest.raises(InconsistentSampleError):
-        _with_members(sample, [Vector([1, 1])])
-
-
-def test_misuse_raises_value_error():
-    sample = SortedSample([(0, Vector([1, 0]))], [P], [[0]])
-    with pytest.raises(ValueError, match="names two different vectors"):
-        cell_from_sample(sample, Family.of([Vector([0, 1])]))
+        _with_members(sample, map(Vector, vectors), [Vector([1, 1])])
 
 
 def test_exact_membership_on_solved_ksum_cell(monkeypatch):
@@ -511,8 +506,8 @@ def test_exact_memberships_spend_the_budget_only_on_unproved_rows(monkeypatch):
     support_check = batch.nonnegative_solutions
     for _ in range(30):
         dim = 3 + rng.below(2)
-        sample, _, _ = _random_cell(rng, dim, 6)
-        _, _, cc = _with_members(sample, [])
+        sample, members, _ = _random_cell(rng, dim, 6)
+        _, _, cc = _with_members(sample, members, [])
         nr = cc.n_red
         chain = cc.chain.tolist()
         targets = []
@@ -843,8 +838,8 @@ def test_pool_program_margin_is_near_optimal():
     checked = 0
     for _ in range(30):
         dim = 2 + rng.below(3)
-        sample, _, _ = _random_cell(rng, dim, 6)
-        _, _, cc = _with_members(sample, [])
+        sample, members, _ = _random_cell(rng, dim, 6)
+        _, _, cc = _with_members(sample, members, [])
         if not len(cc.chain):
             continue
         C = cc.chain_t.T

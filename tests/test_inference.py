@@ -13,12 +13,12 @@ from ldt.oracle import HiddenPointOracle
 def _sample(member_vecs, secret):
     oracle = HiddenPointOracle(Vector(secret))
     family = Family.of(Vector(v) for v in member_vecs)
-    return build_sorted_sample(range(len(family)), family, oracle), oracle
+    return build_sorted_sample(range(len(family)), family, oracle), family, oracle
 
 
 def test_sorted_sample_frozen_units():
     # secret (2,1,1): values 2,1,1 -> sorted e2,e3,e1 with gaps (0, +)
-    sample, oracle = _sample([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 1, 1))
+    sample, _, oracle = _sample([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 1, 1))
     assert sample.labels == [Sign.PLUS, Sign.PLUS, Sign.PLUS]
     assert sample.blocks == [[1, 2], [0]]
     # 3 labels, and the sort plus gaps fit the merge budget
@@ -29,9 +29,9 @@ def test_sorted_sample_frozen_units():
 def test_sorted_sample_comparison_budget():
     secret = tuple(range(1, 18))
     vecs = [tuple(1 if j == i else 0 for j in range(17)) for i in range(17)]
-    sample, oracle = _sample(vecs, secret)
+    sample, _, oracle = _sample(vecs, secret)
     order = [p for blk in sample.blocks for p in blk]
-    assert [sample.members[p][0] for p in order] == list(range(17))
+    assert [sample.ids[p] for p in order] == list(range(17))
     budget = 17 * math.ceil(math.log2(17)) + 16
     assert oracle.ledger.comparison_count <= budget
 
@@ -105,7 +105,7 @@ def test_block_sort_matches_stable_sort(dim, value_range, size, data):
 
     assert sample.labels == [sign_of(v) for v in values]
     assert _order_and_gaps(sample.blocks) == _reference_sort(values)
-    assert [v for _, v in sample.members] == vecs
+    assert sample.ids == ids
     label_of = dict(zip(ids, sample.labels))
     pairs = [e["ids"] for e in oracle.ledger.log if e["kind"] == "cmp"]
     seen = set()
@@ -120,8 +120,8 @@ def test_block_sort_matches_stable_sort(dim, value_range, size, data):
 
 
 def test_cell_pins_witness_signs():
-    sample, _ = _sample([(1, 0), (0, 1)], (3, 1))
-    w = RationalCell(sample, 2).witness
+    sample, family, _ = _sample([(1, 0), (0, 1)], (3, 1))
+    w = RationalCell(sample, family).witness
     assert w is not None
     assert w.dot(Vector([1, 0])) > 0
     assert w.dot(Vector([0, 1])) > 0
@@ -130,8 +130,8 @@ def test_cell_pins_witness_signs():
 
 def test_infer_sign_from_order():
     # secret (3,1): sample pins x1 > x2 > 0, so x1 - x2 > 0, x1 + x2 > 0
-    sample, _ = _sample([(1, 0), (0, 1)], (3, 1))
-    cell = RationalCell(sample, 2)
+    sample, family, _ = _sample([(1, 0), (0, 1)], (3, 1))
+    cell = RationalCell(sample, family)
     assert infer_sign(cell, Vector([1, -1])) is Sign.PLUS
     assert infer_sign(cell, Vector([1, 1])) is Sign.PLUS
     assert infer_sign(cell, Vector([1, -2])) is None  # sign varies over the cell
@@ -140,33 +140,33 @@ def test_infer_sign_from_order():
 
 def test_infer_sign_zero_from_equalities():
     # secret (1,1): e1 = e2 forces sign(e1 - e2) = 0
-    sample, _ = _sample([(1, 0), (0, 1)], (1, 1))
-    cell = RationalCell(sample, 2)
+    sample, family, _ = _sample([(1, 0), (0, 1)], (1, 1))
+    cell = RationalCell(sample, family)
     assert infer_sign(cell, Vector([1, -1])) is Sign.ZERO
     assert infer_sign(cell, Vector([2, -2])) is Sign.ZERO
     assert infer_sign(cell, Vector([1, 1])) is Sign.PLUS
 
 
 def test_infer_sign_minus():
-    sample, _ = _sample([(1, 0), (0, 1)], (-2, -5))
-    cell = RationalCell(sample, 2)
+    sample, family, _ = _sample([(1, 0), (0, 1)], (-2, -5))
+    cell = RationalCell(sample, family)
     assert infer_sign(cell, Vector([1, 1])) is Sign.MINUS
 
 
 def test_infer_set_matches_per_hyperplane():
     secret = (4, -1, 2)
     vecs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
-    sample, _ = _sample(vecs, secret)
+    sample, members, _ = _sample(vecs, secret)
     extra = [
         Vector([1, 1, 1]),
         Vector([1, -1, 0]),
         Vector([0, 1, -1]),
         Vector([2, 2, 0]),
     ]
-    family = Family.of([v for _, v in sample.members] + extra)
+    family = Family.of(list(members) + extra)
     live = range(len(vecs), len(family))
     outcome = infer_set(cell_from_sample(sample, family), live, family)
-    ref = RationalCell(sample, 3)
+    ref = RationalCell(sample, family)
     for ident, v in zip(live, extra):
         expected = infer_sign(ref, v)
         if expected is None:
@@ -176,8 +176,7 @@ def test_infer_set_matches_per_hyperplane():
 
 
 def test_infer_set_echoes_sample_labels():
-    sample, _ = _sample([(1, 0), (0, 1)], (3, 1))
-    family = Family.of(v for _, v in sample.members)
+    sample, family, _ = _sample([(1, 0), (0, 1)], (3, 1))
     outcome = infer_set(cell_from_sample(sample, family), [0, 1], family)
     assert outcome.inferred == SignVector({0: Sign.PLUS, 1: Sign.PLUS})
     assert outcome.undetermined.tolist() == []

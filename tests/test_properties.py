@@ -94,7 +94,7 @@ def test_infer_set_sound_and_complete(secret, data):
     sample = build_sorted_sample(range(n_members), family, HiddenPointOracle(x))
     targets = [(n_members + i, family[n_members + i]) for i in range(len(t_rows))]
     outcome = infer_set(cell_from_sample(sample, family), [i for i, _ in targets], family)
-    ref = RationalCell(sample, dim)
+    ref = RationalCell(sample, family)
     for ident, h in targets:
         slow = infer_sign(ref, h)
         if slow is None:

@@ -214,8 +214,9 @@ def test_coordinates_past_int64_are_decided_exactly():
 
 
 def test_solve_materialises_only_the_rows_it_queries(monkeypatch):
-    # a Vector is built for a sample member or a direct label, never for
-    # every row of the family
+    # queries and inference go by row index, so a solve builds no Vector
+    # of a matrix-made family; a strict oracle builds one for each row
+    # it checks against the declared family, the direct labels' included
     calls = 0
     member = Family._member
 
@@ -225,14 +226,30 @@ def test_solve_materialises_only_the_rows_it_queries(monkeypatch):
         return member(self, row)
 
     monkeypatch.setattr(Family, "_member", counting)
-    for enc in (
-        encode_ksum(random_ksum_instance(SplitMix64(3), 32, 3, planted=True), 3),
-        encode_subset_sum(random_subset_sum_instance(SplitMix64(5), 14, planted=True)),
+    ksum = random_ksum_instance(SplitMix64(3), 32, 3, planted=True)
+    subset = random_subset_sum_instance(SplitMix64(5), 14, planted=True)
+    sumset = random_sumset_instance(SplitMix64(7), 12, 12)
+    kldt = random_kldt_instance(SplitMix64(9), 9, 3, planted=True)
+    triangles = random_triangles_instance(SplitMix64(9), 30, planted=True)
+    # k-LDT and triangles run a round only at a smaller sample constant
+    for enc, c in (
+        (encode_ksum(ksum, 3), 2),
+        (encode_subset_sum(subset), 2),
+        (encode_sort_sumset(*sumset), 2),
+        (encode_kldt(*kldt), Fraction(1, 4)),
+        (encode_zero_triangles(*triangles), Fraction(1, 8)),
     ):
+        config = SolveConfig(seed=1, sample_constant=Fraction(c))
+        declared = frozenset(enc.family)
         calls = 0
-        report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=1))
+        report = solve(enc.family, HiddenPointOracle(enc.hidden), config)
         assert report.rounds
-        assert 0 < calls <= report.label_queries
+        assert calls == 0
+        strict = solve(
+            enc.family, HiddenPointOracle(enc.hidden, strict_family=declared), config
+        )
+        assert strict == report
+        assert 0 < calls <= strict.label_queries
 
 
 def test_query_trace_is_pinned():
