@@ -23,17 +23,19 @@ to decide, the tiers run instead, cheapest proof first:
 
   * reject against a pool of exact interior points (mixed signs, or a
     zero value at an interior point, rule inference out);
-  * certify by dominance: the harvested coordinate comparisons, closed
-    into one order matrix per cell, and anchors from the row's own side
-    of the origin combine into explicit conic decompositions;
+  * certify by dominance, once per cell: the harvested coordinate
+    comparisons, closed into one order matrix, and an anchor of the
+    row's own side (or the origin) combine into explicit conic
+    decompositions, for all rows at once when rows and anchors are 0/1
+    of one weight k <= 4, else row by row after the next tier;
   * finish stragglers by shared support: a least-squares proposal from
     the first unproved row is verified exactly against every open row
     in one batched integer solve.  A row no support proves can only be
     shown outside the cone: cone_member rounds a Farkas vector from the
     residual of the row's own fit and checks it exactly, and never
-    proves membership.  Rows it does not separate go to the anchors,
-    and so do all stragglers above _EXACT_LP_DIM reduced dimensions,
-    where this tier is skipped.
+    proves membership.  In a cell searched row by row, rows it does
+    not separate go to that search, and so do all stragglers above
+    _EXACT_LP_DIM reduced dimensions, where this tier is skipped.
 
 Floating point only ever proposes, and numpy does all of it: a
 matrix rank proposes where the kernel basis may stop eliminating, a
@@ -104,12 +106,13 @@ class ChainCell:
     order, the origin at row z, and chain their consecutive
     differences; chain_t is its float transpose, the NNLS's matrix.
     sample is the sorted sample the cell was built from.  order is the
-    harvested strict order of the coordinates (_harvest_atoms).  above
-    holds the representatives above the origin and below the negations
-    of those beneath it, both nearest first and at most _ANCHORS long:
-    every one is positive over the cell, an anchor for the
-    certificates of its own side.  Only the tiers read chain_t, order,
-    above and below, so each is built on first use.
+    harvested strict order of the coordinates (_harvest_atoms), its
+    node n_red the origin.  above holds the representatives above the
+    origin and below the negations of those beneath it, both nearest
+    first and at most _ANCHORS long: every one is positive over the
+    cell, an anchor for the dominance certificates of its own side,
+    which also try the origin itself.  Only the tiers read chain_t,
+    order, above and below, so each is built on first use.
     """
 
     KB: np.ndarray | None
@@ -310,14 +313,13 @@ def _build_pool(cc: ChainCell) -> np.ndarray:
     """Exact integer points interior to the reduced cell, as columns.
 
     A max-margin float program (linprog) proposes one point, rounded to
-    integers at the scale 2^20; when the chain rows reject that, the
-    same point is rounded at the smallest power of two S with
-    S * margin > sqrt(n_red), past which rounding moves no unit row's
-    product by as much as the margin.  The point is the pool only with
-    every strict product positive.  With no chain rows the cell is the
-    whole reduced space and signed units suffice.  An empty result is
-    allowed: the caller then simply has nothing to screen with and
-    leaves the round to direct labels.
+    integers at the smallest power of two S with S * margin >
+    sqrt(n_red), past which rounding moves no unit row's product by half
+    the margin.  The point is the pool only with every strict product
+    positive.  With no chain rows the cell is the whole reduced space
+    and signed units suffice.  An empty result is allowed: the caller
+    then simply has nothing to screen with and leaves the round to
+    direct labels.
     """
     nr = cc.n_red
     if not len(cc.chain):
@@ -328,13 +330,11 @@ def _build_pool(cc: ChainCell) -> np.ndarray:
     # maximize the worst row margin, in units of each row's norm
     y, margin = linprog(Cf / np.linalg.norm(Cf, axis=1)[:, None])
     if margin > 1e-12:
-        # |y_j| < 1 and margin > 1e-12 keep fine below 2^49 for n_red
-        # below 2^16, so the rounded point stays inside int64
-        fine = 1 << frexp(sqrt(nr) / margin)[1]
-        for scale in (1 << 20, fine):
-            seed = np.rint(y * scale).astype(np.int64)
-            if seed.any() and (exact_product(C, seed) > 0).all():
-                return seed[:, None]
+        # |y_j| < 1 and margin > 1e-12 keep the scale below 2^49 for
+        # n_red below 2^16, so the rounded point stays inside int64
+        seed = np.rint(y * (1 << frexp(sqrt(nr) / margin)[1])).astype(np.int64)
+        if seed.any() and (exact_product(C, seed) > 0).all():
+            return seed[:, None]
     return np.zeros((nr, 0), dtype=np.int64)
 
 
@@ -353,8 +353,6 @@ def _decompose_units(g: Sequence[int], order: list[list[bool]]) -> bool:
     below_zero = order[origin]
     pos = [c for c, val in enumerate(g) if val > 0 for _ in range(val)]
     neg = [c for c, val in enumerate(g) if val < 0 for _ in range(-val)]
-    if all(order[c][origin] for c in pos) and all(below_zero[d] for d in neg):
-        return True
     memo: dict[tuple[int, int], bool] = {}
 
     def ok(i: int, used: int) -> bool:
@@ -380,8 +378,16 @@ def _decompose_units(g: Sequence[int], order: list[list[bool]]) -> bool:
 def _anchored_cert(
     target: list[int], anchors: list[list[int]], order: list[list[bool]]
 ) -> bool:
-    """Conic decomposition of target into unit atoms, or into one anchor
-    of target's own side plus unit atoms."""
+    """Conic decomposition of the nonzero target into unit atoms, or
+    into one anchor of target's own side plus unit atoms.  A target
+    grounded on zero (positive coordinates proved above it, negative
+    ones below) passes first, with no _UNIT_CAP on its units."""
+    origin = len(target)
+    below_zero = order[origin]
+    if all(
+        order[c][origin] if t > 0 else below_zero[c] for c, t in enumerate(target) if t
+    ):
+        return True
     return _decompose_units(target, order) or any(
         _decompose_units([t - x for t, x in zip(target, a)], order) for a in anchors
     )
@@ -543,47 +549,61 @@ def _fast_uniform_certs(
     cand_minus: np.ndarray,
     settled: np.ndarray,
     signs: np.ndarray,
-) -> None:
-    """Anchor dominance for 0/1 rows of one fixed weight.
+) -> bool:
+    """Anchor dominance for 0/1 rows of one weight; True when it decided
+    the cell: every row of Hred, and every anchor of both sides after
+    its sign, is 0/1 of one weight k <= 4.
 
-    A row certifies PLUS when its support can be matched one-to-one
-    onto the support of a 0/1 anchor above zero, each matched
-    coordinate provably at least the anchor's; MINUS mirrors with the
-    negated anchors below zero, each of their coordinates provably at
-    least the row's.  Small fixed weight keeps the bijection search to
-    a handful of permutations, evaluated for all rows at once.
+    A row certifies PLUS when its support maps one-to-one onto the
+    support of an anchor above zero, each coordinate provably at least
+    its image, or when every coordinate is provably above zero (the
+    origin as anchor); MINUS mirrors this with the anchors below zero.
+    Small k keeps the search to a handful of permutations, for all
+    candidate rows at once.
+
+    In a decided cell this finds every certificate _anchored_cert would.
+    For 0/1 t and a of weight k, a _decompose_units(t - a) certificate
+    gives a bijection: shared coordinates map to themselves, matched
+    units c > d to each other, and each unmatched unit above zero pairs
+    with an unmatched one below zero (as many, and the closed order
+    holds c > d through the origin node).  For a 0/1 row,
+    _decompose_units(t) alone is the origin anchor.
     """
-    if not (~settled & (cand_plus | cand_minus)).any():
-        return
-    if Hred.min() < 0 or Hred.max() > 1:
-        return
+    if Hred.dtype == object or Hred.min() < 0 or Hred.max() > 1:
+        return False
     weights = Hred.sum(axis=1)
     k = int(weights[0])
     if k < 1 or k > 4 or not (weights == k).all():
-        return
+        return False
+    nr = cc.n_red
+    above = np.array(cc.above).reshape(len(cc.above), nr)
+    below = -np.array(cc.below).reshape(len(cc.below), nr)
+    for A in (above, below):
+        if ((A != 0) & (A != 1)).any() or (A.sum(axis=1) != k).any():
+            return False
     # at_least[u, v]: x_u >= x_v is proved
-    at_least = cc.order | np.eye(cc.n_red + 1, dtype=bool)
+    at_least = cc.order | np.eye(nr + 1, dtype=bool)
     perms = np.array(list(permutations(range(k))))
     slots = np.arange(k)
-    for sign, cand, anchors, dominates in (
-        (1, cand_plus, cc.above, at_least),
-        (-1, cand_minus, cc.below, at_least.T),
+    for sign, cand, A, dominates in (
+        (1, cand_plus, above, at_least),
+        (-1, cand_minus, below, at_least.T),
     ):
-        rows = np.flatnonzero(cand & ~settled)
+        rows = np.flatnonzero(cand)
         if not rows.size:
             continue
-        A = sign * np.array(anchors).reshape(len(anchors), cc.n_red)
-        A = A[((A == 0) | (A == 1)).all(axis=1) & (A.sum(axis=1) == k)]
         idx = np.nonzero(Hred[rows])[1].reshape(rows.size, k)
-        hits = np.zeros(rows.size, dtype=bool)
+        # the origin as anchor (node nr, never a row coordinate)
+        hits = dominates[idx, nr].all(axis=1)
         for a in np.nonzero(A)[1].reshape(len(A), k):
+            if hits.all():
+                break
             # D[r, t, s]: row coordinate t dominates anchor coordinate s
             D = dominates[idx[:, :, None], a]
             hits |= D[:, slots, perms].all(axis=2).any(axis=1)
-            if hits.all():
-                break
         settled[rows[hits]] = True
         signs[rows[hits]] = sign
+    return True
 
 
 def infer_set(cell: ChainCell, live: Sequence[int], family: Family) -> InferenceOutcome:
@@ -647,19 +667,11 @@ def _ray_signs(cc: ChainCell, H: np.ndarray) -> np.ndarray | None:
 def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signs (-1, 0, 1, as int8) of the rows of Hfull over the cell, and
     which of them are settled."""
-    N = len(Hfull)
-    nr = cc.n_red
-    if cc.KB is None:
-        Hred = Hfull
-    elif nr == 0:
-        return np.zeros(N, dtype=np.int8), np.ones(N, dtype=bool)
-    else:
-        Hred = exact_product(Hfull, cc.KB)
-
+    Hred = Hfull if cc.KB is None else exact_product(Hfull, cc.KB)
     zero_rows = ~np.any(Hred != 0, axis=1)
-    signs = np.zeros(N, dtype=np.int8)
+    signs = np.zeros(len(Hfull), dtype=np.int8)
     rows = np.flatnonzero(~zero_rows)
-    if rows.size and nr <= _RAY_DIM:
+    if rows.size and cc.n_red <= _RAY_DIM:
         decided = _ray_signs(cc, Hred[rows])
         if decided is not None:
             signs[rows] = decided
@@ -673,21 +685,7 @@ def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarr
         D = exact_product(Hred, Y)
         cand_plus = (D > 0).all(axis=1) & ~settled
         cand_minus = (D < 0).all(axis=1) & ~settled
-
-        if Hred.dtype != object:
-            # units grounded straight on zero comparisons: x_c > 0 and
-            # x_c < 0 proved, the origin's column and row of the order
-            p_ok = cc.order[:nr, nr]
-            n_ok = cc.order[nr, :nr]
-            hp = Hred > 0
-            hn = Hred < 0
-            plus_units = cand_plus & ~(hp & ~p_ok).any(axis=1) & ~(hn & ~n_ok).any(axis=1)
-            minus_units = cand_minus & ~(hn & ~p_ok).any(axis=1) & ~(hp & ~n_ok).any(axis=1)
-            signs[plus_units] = 1
-            signs[minus_units] = -1
-            settled |= plus_units | minus_units
-
-            _fast_uniform_certs(cc, Hred, cand_plus, cand_minus, settled, signs)
+        uniform = _fast_uniform_certs(cc, Hred, cand_plus, cand_minus, settled, signs)
 
         leftovers = np.flatnonzero(~settled & (cand_plus | cand_minus))
         flips = np.where(cand_plus[leftovers], 1, -1)
@@ -702,8 +700,10 @@ def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 # proven outside the cone: not inferable either way,
                 # leave it for a direct label
                 settled[i] = True
-        still = np.flatnonzero(~settled & (cand_plus | cand_minus))
-        order = cc.order.tolist() if still.size else []
+        # in a uniform cell the 0/1 check has found every anchored
+        # certificate already
+        still = [] if uniform else np.flatnonzero(~settled & (cand_plus | cand_minus))
+        order = cc.order.tolist() if len(still) else []
         for i in still:
             flip = 1 if cand_plus[i] else -1
             anchors = cc.above if flip > 0 else cc.below

@@ -41,11 +41,7 @@ def _normalize(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * scale for c in coeffs)
 
 
-def fm_feasible(
-    system: HomogeneousSystem,
-    max_dim: int = FM_DIM_CAP,
-    max_rows: int = FM_ROW_CAP,
-) -> bool:
+def fm_feasible(system: HomogeneousSystem) -> bool:
     """Strict-aware Fourier-Motzkin feasibility for tiny systems.
 
     Equalities substitute a variable away, then each variable in turn
@@ -53,10 +49,10 @@ def fm_feasible(
     combination inherits strictness from either parent.  A surviving
     all-zero strict row reads 0 > 0 and settles infeasibility.
     """
-    if system.dim > max_dim:
-        raise SizeCapError(f"dimension {system.dim} exceeds cap {max_dim}")
-    if system.size > max_rows:
-        raise SizeCapError(f"{system.size} rows exceed cap {max_rows}")
+    if system.dim > FM_DIM_CAP:
+        raise SizeCapError(f"dimension {system.dim} exceeds cap {FM_DIM_CAP}")
+    if system.size > FM_ROW_CAP:
+        raise SizeCapError(f"{system.size} rows exceed cap {FM_ROW_CAP}")
     rows: list[tuple[list[Fraction], int]] = []
     for v in system.strict:
         rows.append(([Fraction(c) for c in v.coords], _GT))

@@ -89,17 +89,15 @@ def encode_ksum(values: Sequence[Rational | int], k: int) -> Encoding:
     )
 
 
-def encode_subset_sum(
-    values: Sequence[Rational | int], cap: int = SUBSET_SUM_CAP
-) -> Encoding:
+def encode_subset_sum(values: Sequence[Rational | int]) -> Encoding:
     """Does some nonempty subset of the values sum to zero?"""
     vals = _as_rationals(values)
     n = len(vals)
     if n == 0:
         raise InstanceFormatError("no values given")
-    if n > cap:
+    if n > SUBSET_SUM_CAP:
         raise SizeCapError(
-            f"subset-sum enumerates 2^n-1 hyperplanes; n={n} exceeds cap {cap}"
+            f"subset-sum enumerates 2^n-1 hyperplanes; n={n} exceeds cap {SUBSET_SUM_CAP}"
         )
     # row mask - 1 holds the bits of mask: it is the subset itself
     rows = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
@@ -115,7 +113,6 @@ def encode_subset_sum(
 def encode_sort_sumset(
     a_values: Sequence[Rational | int],
     b_values: Sequence[Rational | int],
-    cap: int = SUMSET_PAIR_CAP,
 ) -> Encoding:
     """Sort the pairwise sums a_i + b_j without looking at the values.
 
@@ -129,9 +126,10 @@ def encode_sort_sumset(
     na, nb = len(avals), len(bvals)
     if na == 0 or nb == 0:
         raise InstanceFormatError("both value lists must be nonempty")
-    if na * nb > cap:
+    if na * nb > SUMSET_PAIR_CAP:
         raise SizeCapError(
-            f"sumset sorting enumerates pair comparisons; {na}x{nb} exceeds cap {cap}"
+            "sumset sorting enumerates pair comparisons; "
+            f"{na}x{nb} exceeds cap {SUMSET_PAIR_CAP}"
         )
     pairs = [(i, j) for i in range(na) for j in range(nb)]
     dim = na + nb
@@ -158,7 +156,6 @@ def encode_sort_sumset(
 def encode_kldt(
     alphas: Sequence[Rational | int],
     values: Sequence[Rational | int],
-    cap: int = KLDT_TUPLE_CAP,
 ) -> Encoding:
     """Does phi(a_{j1},..,a_{jk}) = alpha_0 + sum alpha_t a_{jt} vanish
     on any tuple of pairwise distinct indices?
@@ -173,9 +170,9 @@ def encode_kldt(
     k = len(alph) - 1
     n = len(vals)
     count = math.perm(n, k) if n >= k else 0
-    if count > cap:
+    if count > KLDT_TUPLE_CAP:
         raise SizeCapError(
-            f"{count} index tuples exceed cap {cap} for k={k}, n={n}"
+            f"{count} index tuples exceed cap {KLDT_TUPLE_CAP} for k={k}, n={n}"
         )
     dim = 1 + n * k
     hidden = [alph[0]]

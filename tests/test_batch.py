@@ -819,8 +819,8 @@ def test_pool_of_a_thin_cell_near_two_to_the_thirty(chain):
 
 def test_pool_of_a_cell_too_thin_for_the_first_rounding():
     # the interior holds (1, 1, 0), but the barrier point has margin
-    # about 8e-10 and rounds at 2^20 to a point outside; the retry at a
-    # scale past sqrt(3) / margin lands inside
+    # about 8e-10, so a fixed scale such as 2^20 rounds it to a point
+    # outside; the pool's scale, past sqrt(3) / margin, lands inside
     chain = [[(1 << 30) + 7, -(1 << 30), 3], [-(1 << 30) + 1, 1 << 30, -2], [1, 1, 1]]
     cc = _cell_of_chain(chain)
     C = cc.chain_t.T
@@ -860,11 +860,10 @@ def test_pool_program_margin_is_near_optimal():
     assert checked > 10
 
 
-def test_fast_uniform_tier_only_speeds_up_the_anchored_one():
-    # a wide-bound negative 3-SUM n=24 cell has no equalities, so every
-    # row is 0/1 of weight 3; each row the fast tier settles must also
-    # be certified by _anchored_cert, from its own side's anchors, with
-    # the same sign, and that sign must be the true one
+def _tie_free_ksum_cell():
+    """A wide-bound negative 3-SUM n=24 cell (no equalities, so every
+    row is 0/1 of weight 3), its live rows and their true signs, the
+    pool screen, and the flags and signs _fast_uniform_certs sets."""
     rng = SplitMix64(0)
     while True:
         vals = random_ksum_instance(rng, 24, 3, False, bound=10 * 24**3)
@@ -879,15 +878,119 @@ def test_fast_uniform_tier_only_speeds_up_the_anchored_one():
     live = np.setdiff1d(np.arange(len(family)), ids)
     H = family.rows[live]
     D = H @ batch._build_pool(cc)
+    cand_plus, cand_minus = (D > 0).all(axis=1), (D < 0).all(axis=1)
     settled = np.zeros(len(H), dtype=bool)
     signs = np.zeros(len(H), dtype=np.int8)
-    batch._fast_uniform_certs(cc, H, (D > 0).all(axis=1), (D < 0).all(axis=1), settled, signs)
+    assert batch._fast_uniform_certs(cc, H, cand_plus, cand_minus, settled, signs)
+    truth = ground_truth_pattern(family, enc.hidden)
+    return cc, H, [truth[i] for i in live], cand_plus, cand_minus, settled, signs
+
+
+def test_fast_uniform_tier_only_speeds_up_the_anchored_one():
+    # each row the fast tier settles must also be certified by
+    # _anchored_cert, from its own side's anchors, with the same sign,
+    # and that sign must be the true one
+    cc, H, truth, _, _, settled, signs = _tie_free_ksum_cell()
     assert (signs[settled] == 1).sum() > 500 and (signs[settled] == -1).sum() > 500
     assert not signs[~settled].any()
-    truth = ground_truth_pattern(family, enc.hidden)
     order = cc.order.tolist()
     for i in np.flatnonzero(settled):
         flip = int(signs[i])
-        assert truth[live[i]] is (Sign.PLUS if flip > 0 else Sign.MINUS)
+        assert truth[i] is (Sign.PLUS if flip > 0 else Sign.MINUS)
         anchors = cc.above if flip > 0 else cc.below
         assert batch._anchored_cert((H[i] * flip).tolist(), anchors, order)
+
+
+def test_fast_uniform_tier_finds_every_anchored_certificate():
+    # the converse: in this cell every anchor is 0/1 of weight 3 too, so
+    # each row _anchored_cert certifies, grounded on zero or from a
+    # (row, anchor) pair, the fast tier settles with the same sign
+    cc, H, _, cand_plus, cand_minus, settled, signs = _tie_free_ksum_cell()
+    for anchors in (np.array(cc.above), -np.array(cc.below)):
+        assert np.isin(anchors, (0, 1)).all() and (anchors.sum(axis=1) == 3).all()
+    order = cc.order.tolist()
+    certified = 0
+    for i in np.flatnonzero(cand_plus | cand_minus):
+        flip = 1 if cand_plus[i] else -1
+        anchors = cc.above if flip > 0 else cc.below
+        if batch._anchored_cert((H[i] * flip).tolist(), anchors, order):
+            certified += 1
+            assert settled[i] and signs[i] == flip
+    assert certified == settled.sum() > 1000
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_fast_uniform_tier_grounds_rows_on_the_origin(side, monkeypatch):
+    # members e0+e1 < e0+e1+e2 < e0+e1+e2+e3 (mirrored for side -1)
+    # prove x_2 and x_3 beyond zero; with one anchor per side, e0+e1 (an
+    # anchor of weight 2 like the row), only the origin as anchor
+    # certifies e2+e3
+    monkeypatch.setattr(batch, "_ANCHORS", 1)
+    rows = [[1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]]
+    family = Family.of([Vector(r) for r in rows])
+    oracle = HiddenPointOracle(Vector([side * v for v in (1, 2, 4, 8)]))
+    cc = cell_from_sample(build_sorted_sample(range(3), family, oracle), family)
+    plus = np.array([side > 0])
+    settled = np.zeros(1, dtype=bool)
+    signs = np.zeros(1, dtype=np.int8)
+    assert batch._fast_uniform_certs(cc, family.rows[3:], plus, ~plus, settled, signs)
+    assert settled[0] and signs[0] == side
+
+
+def test_anchored_cert_never_runs_in_a_uniform_cell(monkeypatch):
+    # a wide-bound negative 3-SUM n=32 draw has no ties, so every cell
+    # is 0/1 of weight 3 in rows and anchors and takes the fast tier
+    # alone; the solve still gets every sign right
+    def forbidden(*args):
+        raise AssertionError("the 0/1 dominance check decides this cell")
+
+    decided = []
+    uniform = batch._fast_uniform_certs
+
+    def recording(*args):
+        decided.append(uniform(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(batch, "_anchored_cert", forbidden)
+    monkeypatch.setattr(batch, "_fast_uniform_certs", recording)
+    rng = SplitMix64(32)
+    while True:
+        vals = random_ksum_instance(rng, 32, 3, False, bound=10 * 32**3)
+        if not brute_ksum(vals, 3):
+            break
+    enc = encode_ksum(vals, 3)
+    report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=1))
+    assert decided and all(decided)
+    assert report.pattern == ground_truth_pattern(enc.family, enc.hidden)
+
+
+def test_grounded_row_past_the_unit_cap_is_certified():
+    # the chain e_0, ..., e_16 proves every coordinate above zero; the
+    # cell lies above the ray cap and the exact tier, and its rows are
+    # not 0/1 of one weight, so the per-row search alone can certify
+    # them, and each has more units than _UNIT_CAP, also less any anchor
+    dim = batch._EXACT_LP_DIM + 1
+    cc = _cell_of_chain(np.eye(dim, dtype=np.int64).tolist())
+    cap = batch._UNIT_CAP
+    H = np.zeros((3, dim), dtype=np.int64)
+    H[0, 0] = 2 * cap
+    H[1, :2] = -cap
+    H[2, :3] = 1
+    signs, settled = batch._decide_rows(cc, H)
+    assert settled.all() and signs.tolist() == [1, -1, 1]
+    order = cc.order.tolist()
+    assert not batch._decompose_units(H[0].tolist(), order)
+    assert not batch._decompose_units((-H[1]).tolist(), order)
+
+
+def test_zero_labelled_members_spanning_the_space_leave_no_dimension():
+    # a hidden point at the origin labels e_0 and e_1 zero; their span is
+    # the whole space, so n_red is 0 and every other row is ZERO
+    members = Family.of([Vector([1, 0]), Vector([0, 1])])
+    sample = build_sorted_sample(range(2), members, HiddenPointOracle(Vector([0, 0])))
+    targets = [Vector([3, -5]), Vector([1, 1])]
+    family, live, cell = _with_members(sample, members, targets)
+    assert cell.n_red == 0
+    out = infer_set(cell, live, family)
+    assert [out.inferred[i] for i in live] == [Sign.ZERO, Sign.ZERO]
+    assert not out.undetermined.size
