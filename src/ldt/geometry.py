@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .intlin import GEMM_GUARD, generator_matrix
+from .intlin import GEMM_GUARD, generator_matrix, hash_weights, repeated
 
 Rational = Fraction
 
@@ -249,12 +249,17 @@ class Family(Sequence[Vector]):
     Vector the caller passed in; a family made from a matrix builds
     family[i], rows[i] / den, only when asked, and members(ids) builds
     a whole list of them from one conversion of their rows.
+
+    top is the largest absolute entry of rows.  The duplicate map and
+    the distinct nonzero rows (first_copies) are computed on first use
+    and kept, so a family shared by many solves pays for them once.
     """
 
-    __slots__ = ("rows", "den", "_vectors")
+    __slots__ = ("rows", "den", "top", "_vectors", "_copies")
 
     rows: np.ndarray
     den: int
+    top: int
 
     def __init__(
         self,
@@ -279,7 +284,9 @@ class Family(Sequence[Vector]):
             raise ValueError("one Vector per row")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "top", top)
         object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "_copies", None)
 
     @classmethod
     def of(cls, vectors: Iterable[Vector]) -> "Family":
@@ -326,6 +333,35 @@ class Family(Sequence[Vector]):
         rows = self.rows[np.asarray(ids, dtype=np.intp)].tolist()
         member = self._member
         return [member(row) for row in rows]
+
+    def first_copies(self) -> tuple[np.ndarray, np.ndarray]:
+        """(alias, distinct), computed on the first call and kept.
+
+        alias[i] is the first index whose row equals row i; distinct
+        holds, ascending, the indices that are their own first copy and
+        whose row is not zero.  Both arrays are read-only.
+
+        int64 rows are hashed to one 64-bit key each (a wrapping product
+        with fixed odd weights); only rows whose key is shared are
+        compared exactly, so distinct rows never merge and a family
+        without repeats costs one sort of its keys.
+        """
+        if self._copies is None:
+            rows = self.rows
+            m, n = rows.shape
+            alias = np.arange(m)
+            if rows.dtype == object:
+                suspects = alias
+            else:
+                suspects = repeated(rows.astype(np.uint64) @ hash_weights(n))
+            canon: dict[tuple[int, ...], int] = {}
+            for i, row in zip(suspects.tolist(), rows[suspects].tolist()):
+                alias[i] = canon.setdefault(tuple(row), i)
+            distinct = np.flatnonzero((alias == np.arange(m)) & (rows != 0).any(axis=1))
+            alias.flags.writeable = False
+            distinct.flags.writeable = False
+            object.__setattr__(self, "_copies", (alias, distinct))
+        return self._copies
 
     def _member(self, row: list[int]) -> Vector:
         if self.den > 1:

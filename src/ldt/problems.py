@@ -7,6 +7,15 @@ as one integer matrix; no per-row Vector is built.  Enumerative
 encoders refuse inputs past their documented caps before any matrix is
 allocated.
 
+The family depends on the instance's shape alone, as in the paper: one
+family per n.  So every encoder but zero-triangles (whose family follows
+the edge set) keeps its recent shapes (_SHAPES, with the memory they
+retain) and hands out the same Family for a repeated shape; only the
+hidden point is built per call.  A shared Family then computes its
+solve bookkeeping once (Family.first_copies).  Meta lists are fresh per
+call and the sumset's compared array is read-only, so no caller can
+change a kept shape.
+
 Brute-force references live here too; they answer the same questions by
 direct enumeration and serve as ground truth everywhere the solver's
 output gets checked.
@@ -17,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, permutations
 from typing import Sequence
 
@@ -44,6 +54,17 @@ KLDT_TUPLE_CAP = 20000
 # about the family size the subset-sum cap allows; 3-SUM is admitted up
 # to n=73 (C(73, 3) = 62196)
 KSUM_SUBSET_CAP = 1 << 16
+
+# Each encoder keeps the family and meta of its last _SHAPES shapes, so
+# instances of one shape share them.  An entry holds what one instance of
+# its shape allocates anyway: the rows at 8 bytes an entry, the family's
+# first_copies at up to 16 bytes a row and the meta lists.  At the caps
+# an entry takes 9.4 MB for subset-sum n=16, 9.4 MB for a 16x16 sumset
+# (68 MB at 1x256), 42 MB for 3-SUM n=73 and 15 MB for 3-LDT n=28, so the
+# four caches retain at most 4 * _SHAPES such entries: about 540 MB for
+# these shapes.  The k-SUM and k-LDT caps bound rows, not width, so a
+# smaller k admits wider families (2-SUM n=362: 194 MB an entry).
+_SHAPES = 4
 
 
 @dataclass
@@ -75,18 +96,25 @@ def encode_ksum(values: Sequence[Rational | int], k: int) -> Encoding:
         raise SizeCapError(
             f"{count} {k}-subsets of {n} values exceed cap {KSUM_SUBSET_CAP}"
         )
-    subsets = list(combinations(range(n), k))
-    cols = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=count * k)
-    rows = np.zeros((count, n), dtype=np.int64)
-    rows[np.arange(count)[:, None], cols.reshape(count, k)] = 1
+    family, subsets = _ksum_shape(n, k)
     return Encoding(
         kind="ksum",
         dim=n,
-        family=Family(rows),
+        family=family,
         hidden=Vector(vals),
         answer_kind="decision",
-        meta={"k": k, "subsets": subsets},
+        meta={"k": k, "subsets": list(subsets)},
     )
+
+
+@lru_cache(maxsize=_SHAPES)
+def _ksum_shape(n: int, k: int) -> tuple[Family, tuple[tuple[int, ...], ...]]:
+    subsets = tuple(combinations(range(n), k))
+    count = len(subsets)
+    cols = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=count * k)
+    rows = np.zeros((count, n), dtype=np.int64)
+    rows[np.arange(count)[:, None], cols.reshape(count, k)] = 1
+    return Family(rows), subsets
 
 
 def encode_subset_sum(values: Sequence[Rational | int]) -> Encoding:
@@ -99,15 +127,19 @@ def encode_subset_sum(values: Sequence[Rational | int]) -> Encoding:
         raise SizeCapError(
             f"subset-sum enumerates 2^n-1 hyperplanes; n={n} exceeds cap {SUBSET_SUM_CAP}"
         )
-    # row mask - 1 holds the bits of mask: it is the subset itself
-    rows = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
     return Encoding(
         kind="subsetsum",
         dim=n,
-        family=Family(rows),
+        family=_subset_sum_shape(n),
         hidden=Vector(vals),
         answer_kind="decision",
     )
+
+
+@lru_cache(maxsize=_SHAPES)
+def _subset_sum_shape(n: int) -> Family:
+    # row mask - 1 holds the bits of mask: it is the subset itself
+    return Family((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1)
 
 
 def encode_sort_sumset(
@@ -131,26 +163,34 @@ def encode_sort_sumset(
             "sumset sorting enumerates pair comparisons; "
             f"{na}x{nb} exceeds cap {SUMSET_PAIR_CAP}"
         )
-    pairs = [(i, j) for i in range(na) for j in range(nb)]
-    dim = na + nb
+    family, pairs, compared = _sumset_shape(na, nb)
+    return Encoding(
+        kind="sortsumset",
+        dim=na + nb,
+        family=family,
+        hidden=Vector(avals + bvals),
+        answer_kind="ordering",
+        meta={"pairs": list(pairs), "compared": compared, "na": na, "nb": nb},
+    )
+
+
+@lru_cache(maxsize=_SHAPES)
+def _sumset_shape(
+    na: int, nb: int
+) -> tuple[Family, tuple[tuple[int, int], ...], np.ndarray]:
+    pairs = tuple((i, j) for i in range(na) for j in range(nb))
     # one row per pair p < q of pair indices, in combinations order:
     # (a_i + b_j) - (a_k + b_l) for p = (i, j) and q = (k, l)
     p, q = np.triu_indices(len(pairs), 1)
     compared = np.stack([p, q], axis=1)
-    rows = np.zeros((len(p), dim), dtype=np.int64)
+    compared.flags.writeable = False
+    rows = np.zeros((len(p), na + nb), dtype=np.int64)
     r = np.arange(len(p))
     rows[r, p // nb] += 1
     rows[r, q // nb] -= 1
     rows[r, na + p % nb] += 1
     rows[r, na + q % nb] -= 1
-    return Encoding(
-        kind="sortsumset",
-        dim=dim,
-        family=Family(rows),
-        hidden=Vector(avals + bvals),
-        answer_kind="ordering",
-        meta={"pairs": pairs, "compared": compared, "na": na, "nb": nb},
-    )
+    return Family(rows), pairs, compared
 
 
 def encode_kldt(
@@ -178,21 +218,27 @@ def encode_kldt(
     hidden = [alph[0]]
     for t in range(1, k + 1):
         hidden.extend(alph[t] * a for a in vals)
-    tuples = list(permutations(range(n), k))
-    rows = np.zeros((count, dim), dtype=np.int64)
+    family, tuples = _kldt_shape(n, k)
+    return Encoding(
+        kind="kldt",
+        dim=dim,
+        family=family,
+        hidden=Vector(hidden),
+        answer_kind="decision",
+        meta={"k": k, "n": n, "tuples": list(tuples)},
+    )
+
+
+@lru_cache(maxsize=_SHAPES)
+def _kldt_shape(n: int, k: int) -> tuple[Family, tuple[tuple[int, ...], ...]]:
+    tuples = tuple(permutations(range(n), k))
+    rows = np.zeros((len(tuples), 1 + n * k), dtype=np.int64)
     rows[:, 0] = 1
     if tuples:
         # slot t of index j sits at 1 + t * n + j
         slots = 1 + np.arange(k) * n + np.array(tuples)
-        rows[np.arange(count)[:, None], slots] = 1
-    return Encoding(
-        kind="kldt",
-        dim=dim,
-        family=Family(rows),
-        hidden=Vector(hidden),
-        answer_kind="decision",
-        meta={"k": k, "n": n, "tuples": tuples},
-    )
+        rows[np.arange(len(tuples))[:, None], slots] = 1
+    return Family(rows), tuples
 
 
 def encode_zero_triangles(

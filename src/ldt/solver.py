@@ -12,10 +12,10 @@ All signs come from oracle answers or exact certificates, never from
 guesses, so the reported pattern is correct on every run regardless of
 the seed.
 
-The family is converted to one integer matrix once per solve (see
-geometry.Family), and the bookkeeping runs on it as array operations:
-duplicate and zero rows, the coordinate bound W, and the live set as
-an ascending array of row indices.  The oracle is asked about rows by
+The family is converted to one integer matrix (see geometry.Family),
+which computes its bookkeeping once and keeps it for every solve on it:
+duplicate and zero rows (Family.first_copies) and the coordinate bound
+W (Family.top).  The live set is an ascending array of row indices.  The oracle is asked about rows by
 index (HiddenPointOracle.query_rows), and a round's sorted sample names
 its members by the same indices, so a solve builds no Vector.  Only in
 strict mode does the oracle build the Vectors of the rows it is asked
@@ -34,7 +34,6 @@ import numpy as np
 from .batch import cell_from_sample, infer_set
 from .geometry import Family, SignVector, Vector
 from .inference import build_sorted_sample
-from .intlin import hash_weights, repeated
 from .oracle import HiddenPointOracle
 from .prng import SplitMix64
 
@@ -103,28 +102,6 @@ class SolveReport:
         return self.label_queries + self.comparison_queries
 
 
-def _first_copies(rows: np.ndarray) -> np.ndarray:
-    """alias[i]: the first index whose row equals row i.
-
-    int64 rows are hashed to one 64-bit key each (a wrapping product
-    with fixed odd weights); only rows whose key is shared are compared
-    exactly, so distinct rows never merge and a family without repeats
-    costs one sort of its keys.
-    """
-    m, n = rows.shape
-    alias = np.arange(m)
-    if rows.dtype == object:
-        suspects = alias
-    else:
-        suspects = repeated(rows.astype(np.uint64) @ hash_weights(n))
-        if not suspects.size:
-            return alias
-    canon: dict[tuple[int, ...], int] = {}
-    for i, row in zip(suspects.tolist(), rows[suspects].tolist()):
-        alias[i] = canon.setdefault(tuple(row), i)
-    return alias
-
-
 def solve(
     family: Sequence[Vector],
     oracle: HiddenPointOracle,
@@ -140,16 +117,14 @@ def solve(
     if not m:
         raise ValueError("family must be nonempty")
     n = family.dim
-    rows = family.rows
 
     # duplicates copy the sign of their first occurrence, zero rows are
     # ZERO, and every other row starts live
-    alias = _first_copies(rows)
+    alias, live = family.first_copies()
     signs = np.zeros(m, dtype=np.int8)
-    live = np.flatnonzero((alias == np.arange(m)) & (rows != 0).any(axis=1))
 
     # the largest coordinate of the family as given, before scaling
-    w = Fraction(int(np.abs(rows).max(initial=0)), family.den)
+    w = Fraction(family.top, family.den)
     q = Fraction(2) + n * w
     d_est = ceil_mul_log2(config.sample_constant * n, q)
     s_target = 2 * d_est

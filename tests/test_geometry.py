@@ -14,6 +14,7 @@ from ldt.geometry import (
     parse_rational,
     sign_of,
 )
+from ldt.problems import encode_sort_sumset
 
 
 def test_parse_rational_forms():
@@ -164,6 +165,40 @@ def test_family_members_in_bulk():
     rational = Family(np.array([[3, 6], [-4, 1]]), 6).members([0, 1])
     assert rational == [Vector([Fraction(1, 2), 1]), Vector([Fraction(-2, 3), Fraction(1, 6)])]
     assert rational[1].ints is None
+
+
+def _copies_reference(rows):
+    """The duplicate map and the distinct nonzero rows, row by row."""
+    first = {}
+    alias = [first.setdefault(tuple(r), i) for i, r in enumerate(rows.tolist())]
+    distinct = [i for i, r in enumerate(rows.tolist()) if alias[i] == i and any(r)]
+    return alias, distinct
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # sortab 12x12: 1,452 of its 10,296 rows repeat an earlier one
+        encode_sort_sumset(range(12), range(12)).family,
+        Family(np.array([[0, 0], [1, 2], [0, 0], [1, 2], [3, -1], [1, 2]])),
+        Family(np.array([[1 << 70, 1], [0, 0], [1 << 70, 1], [2, -(1 << 64)]], dtype=object)),
+    ],
+    ids=["sortab12", "zero-rows", "object"],
+)
+def test_first_copies_are_kept_read_only_and_match_a_fresh_family(family):
+    alias, distinct = family.first_copies()
+    again = family.first_copies()
+    assert again[0] is alias and again[1] is distinct
+    for kept in (alias, distinct):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 1
+    fresh = Family(family.rows.copy()).first_copies()
+    assert np.array_equal(alias, fresh[0]) and np.array_equal(distinct, fresh[1])
+    want_alias, want_distinct = _copies_reference(family.rows)
+    assert alias.tolist() == want_alias and distinct.tolist() == want_distinct
+    assert (alias != np.arange(len(family))).any()
+    assert family.top == max(abs(int(a)) for a in family.rows.flat)
 
 
 def test_sign_vector_from_arrays():

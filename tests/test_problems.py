@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -6,6 +7,7 @@ import pytest
 
 from ldt import problems
 from ldt.geometry import Family, Sign, SignVector, Vector, ground_truth_pattern
+from ldt.oracle import HiddenPointOracle
 from ldt.prng import SplitMix64
 from ldt.problems import (
     InconsistentPatternError,
@@ -31,6 +33,7 @@ from ldt.problems import (
     random_sumset_instance,
     random_triangles_instance,
 )
+from ldt.solver import SolveConfig, solve
 
 
 def _answer(enc):
@@ -397,3 +400,85 @@ def test_ordering_matches_reference_on_true_and_corrupt_patterns(seed):
             extract_answer(enc, pattern)
     else:
         assert extract_answer(enc, pattern) == want
+
+
+# per encoder: an instance, another of the same shape, one of another shape
+_SHAPED = [
+    (
+        lambda: encode_ksum([1, 2, 3, 4, 5, 6], 3),
+        lambda: encode_ksum([9, -4, 0, 7, 1, 2], 3),
+        lambda: encode_ksum([1, 2, 3, 4, 5, 6], 2),
+    ),
+    (
+        lambda: encode_subset_sum([1, -2, 3]),
+        lambda: encode_subset_sum([5, 5, -10]),
+        lambda: encode_subset_sum([1, -2, 3, 4]),
+    ),
+    (
+        lambda: encode_sort_sumset([1, 2], [3, 4, 5]),
+        lambda: encode_sort_sumset([0, -1], [7, 7, 2]),
+        lambda: encode_sort_sumset([1, 2, 3], [4, 5]),
+    ),
+    (
+        lambda: encode_kldt([1, 2, -1], [3, 4, 5, 6]),
+        lambda: encode_kldt([-3, 1, 1], [0, 0, 2, 9]),
+        lambda: encode_kldt([1, 2, -1, 4], [3, 4, 5, 6]),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "first, again, other", _SHAPED, ids=["ksum", "subsetsum", "sortsumset", "kldt"]
+)
+def test_a_repeated_shape_shares_its_family(first, again, other):
+    a, b, c = first(), again(), other()
+    assert b.family is a.family
+    assert c.family is not a.family
+    assert b.hidden != a.hidden
+    assert first().hidden == a.hidden and first().hidden is not a.hidden
+
+
+def test_zero_triangles_build_their_family_per_call():
+    edges = [(1, 2, 1), (1, 3, 2), (2, 3, -3)]
+    assert encode_zero_triangles(3, edges).family is not encode_zero_triangles(3, edges).family
+
+
+def test_changing_meta_leaves_the_next_encoding_as_it_was():
+    enc = encode_ksum([1, 2, 3, 4, 5], 3)
+    enc.meta["subsets"].clear()
+    assert encode_ksum([5, 4, 3, 2, 1], 3).meta["subsets"] == list(combinations(range(5), 3))
+
+    enc = encode_kldt([1, 2, -1], [3, 4, 5, 6])
+    enc.meta["tuples"].append((9, 9))
+    assert encode_kldt([0, 1, 1], [1, 2, 3, 4]).meta["tuples"] == list(permutations(range(4), 2))
+
+    enc = encode_sort_sumset([1, 2], [3, 4])
+    enc.meta["pairs"].reverse()
+    with pytest.raises(ValueError):
+        enc.meta["compared"][0, 0] = 3
+    again = encode_sort_sumset([5, 6], [7, 8])
+    assert again.meta["pairs"] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert again.meta["compared"].tolist() == [list(c) for c in combinations(range(4), 2)]
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda: encode_ksum(random_ksum_instance(SplitMix64(2024), 16, 3, planted=True), 3),
+        lambda: encode_subset_sum(random_subset_sum_instance(SplitMix64(5), 12, planted=True)),
+        lambda: encode_sort_sumset(*random_sumset_instance(SplitMix64(6), 6, 6)),
+    ],
+    ids=["ksum", "subsetsum", "sortsumset"],
+)
+def test_a_solve_on_a_kept_family_repeats_one_on_a_fresh_copy(encode):
+    enc = encode()
+    runs = []
+    # a fresh copy, then the kept family from two encodings
+    for family in (Family(enc.family.rows.copy()), enc.family, encode().family):
+        oracle = HiddenPointOracle(enc.hidden, log_queries=True)
+        report = solve(family, oracle, SolveConfig(seed=3))
+        log = io.StringIO()
+        oracle.ledger.export_jsonl(log)
+        runs.append((report, log.getvalue()))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1].count("\n") == runs[0][0].total_queries > 0
