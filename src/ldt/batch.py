@@ -38,7 +38,6 @@ to decide, the tiers run instead, cheapest proof first:
     _EXACT_LP_DIM reduced dimensions, where this tier is skipped.
 
 Floating point only ever proposes, and numpy does all of it: a
-matrix rank proposes where the kernel basis may stop eliminating, a
 normalised product picks the double description's next constraint, a
 log-barrier Newton method (linprog) proposes the pool's max-margin
 point and a Lawson-Hanson NNLS (_nnls) proposes certificate supports

@@ -4,25 +4,24 @@ The solver side needs two exact computations: a kernel basis (of the
 equalities of a sample cell, and of the rows a Farkas vector must
 vanish on), and the particular solutions of one small system for a
 whole batch of targets (their signs decide conic certificates).  Both
-read one elimination, row_basis's reduced echelon form, run on Python
-integers; the batched one then needs a single integer matrix product,
-and exact_product multiplies integer matrices without overflow, which
-is also how every proposed certificate is checked.
-The one float in them, a matrix rank that tells the kernel basis where
-its elimination may stop, is checked exactly before it is trusted.
-A low-dimensional cell's cone also gets its exact generators, a
-lineality basis and the extreme rays, from cone_generators, a double
-description built on the same products.
-Rows are kept primitive (gcd content divided out) and combined by
-cross-multiplication; every division is exact, so no rational number
-is ever formed, and a rational value appears only as an integer
-numerator over a known positive denominator.
+read row_basis, one fraction-free Gauss-Jordan elimination in numpy,
+int64 while its products fit and Python integers (object dtype) past
+that; no float enters either.  The batched one then needs a single
+integer matrix product, and exact_product multiplies integer matrices
+without overflow, which is also how every proposed certificate is
+checked.  A low-dimensional cell's cone also gets its exact
+generators, a lineality basis and the extreme rays, from
+cone_generators, a double description built on the same products.
+Rows are kept primitive (gcd content divided out); every division is
+exact, so no rational number is ever formed, and a rational value
+appears only as an integer numerator over a known positive
+denominator.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Sequence
 
 import numpy as np
 
@@ -32,111 +31,85 @@ from .prng import SplitMix64
 # times length) stays below this cannot overflow
 GEMM_GUARD = 1 << 62
 
-# pivot column -> primitive integer row, positive at its pivot, zero in
-# every column before its pivot and at every other pivot column: the
-# reduced row echelon form of the span, each row scaled to integers
-RowBasis = dict[int, list[int]]
 
+def row_basis(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon basis of the row span of an integer matrix from
+    generator_matrix: (B, pivots), one row of B per pivot column, in
+    increasing order of the pivots, each row primitive, positive at its
+    pivot and zero at every other pivot column.  Scaled so, the form is
+    unique.
 
-def _primitive(row: list[int], lead: int) -> list[int]:
-    """row divided by its content, signed so that row[lead] > 0."""
-    g = gcd(*row)
-    if row[lead] < 0:
-        g = -g
-    return row if g == 1 else [a // g for a in row]
-
-
-def _eliminate(row: list[int], basis: RowBasis) -> list[int]:
-    """A positive multiple of row plus a combination of basis rows that
-    is zero at every pivot column."""
-    for p, b in basis.items():
-        f = row[p]
-        if not f:
+    One fraction-free Gauss-Jordan elimination (Bareiss) over all rows
+    at once.  At column c the first row at or below r that is nonzero
+    there moves up to r, its entry p becomes the pivot, and every other
+    row becomes (p M[i] - M[i, c] M[r]) // prev, prev the pivot before.
+    Every entry is then a minor of the input (Sylvester's identity), so
+    the division is exact and the entries grow only as fast as the
+    minors; every pivot entry equals the last p, and dependent rows end
+    as zero rows.  Each term of a step is at most (|p| + max|M|) max|M|,
+    so an int64 M moves to Python integers before the first step where
+    that reaches GEMM_GUARD, and an object M stays there; B keeps the
+    dtype the elimination ended in.
+    """
+    M = M.copy()
+    pivots: list[int] = []
+    prev = 1
+    top = _largest(M)
+    for c in range(M.shape[1]):
+        r = len(pivots)
+        hits = M[r:, c].nonzero()[0]
+        if not len(hits):
             continue
-        bp = b[p]
-        if bp == 1:
-            row = [a - f * x for a, x in zip(row, b)]
-        else:
-            g = gcd(f, bp)
-            s, f = bp // g, f // g
-            row = [s * a - f * x for a, x in zip(row, b)]
-    return row
-
-
-def _absorb(basis: RowBasis, row: Sequence[int]) -> None:
-    """Extend basis, in place, to the reduced echelon basis of its span
-    plus row."""
-    r = _eliminate(list(row), basis)
-    lead = next((j for j, a in enumerate(r) if a), None)
-    if lead is None:
-        return
-    r = _primitive(r, lead)
-    rl = r[lead]
-    # clear the new pivot column from the rows already held
-    for p, b in basis.items():
-        f = b[lead]
-        if f:
-            g = gcd(f, rl)
-            s, f = rl // g, f // g
-            basis[p] = _primitive([s * x - f * y for x, y in zip(b, r)], p)
-    basis[lead] = r
-
-
-def row_basis(rows: Iterable[Sequence[int]]) -> RowBasis:
-    """Reduced echelon basis of the span of rows."""
-    basis: RowBasis = {}
-    for row in rows:
-        _absorb(basis, row)
-    return basis
+        s = r + int(hits[0])
+        row = M[s].copy()
+        if s != r:
+            M[s] = M[r]
+            M[r] = row
+        p = int(row[c])
+        if M.dtype != object:
+            # top is an upper bound on max|M|: the true maximum is read
+            # only when the bound trips the guard
+            if (abs(p) + top) * top >= GEMM_GUARD:
+                top = _largest(M)
+                if (abs(p) + top) * top >= GEMM_GUARD:
+                    M, row = M.astype(object), row.astype(object)
+            top = max(top, (abs(p) + top) * top // abs(prev))
+        f = M[:, c].copy()
+        f[r] = 0
+        if p != 1:
+            M *= p
+        M -= f[:, None] * row
+        if prev != 1:
+            M //= prev
+        M[r] = row
+        prev = p
+        pivots.append(c)
+    B = M[: len(pivots)]
+    if prev < 0:
+        B = -B
+    return B // np.gcd.reduce(B, axis=1)[:, None], pivots
 
 
 def kernel_matrix(rows: np.ndarray) -> np.ndarray:
     """Integer basis of the common kernel of the rows of an integer
-    matrix from generator_matrix, as the columns of another (n x n_red).
+    matrix from generator_matrix, as the columns of another (n x n_red),
+    int64 or object as generator_matrix would choose for it.
 
-    One column per free column f of the reduced echelon basis of rows,
-    in increasing order of f: the primitive integer vector with a
-    positive entry at f, zeros at the other free columns, and the pivot
-    entries the kernel forces.  The echelon form is unique, so the basis
-    is too.  The elimination stops as soon as its basis reaches the
-    float rank of rows, which only proposes: the basis is kept when
-    every row vanishes on its kernel, checked exactly, and otherwise
-    row_basis eliminates every row.  Object rows (past GEMM_GUARD) skip
-    the proposal and are eliminated in full, and so are matrices with no
-    more rows than columns, where stopping early saves less than the
-    float rank costs.
+    One column per free column f of row_basis(rows), in increasing order
+    of f: the primitive integer vector with a positive entry at f, zeros
+    at the other free columns, and the pivot entries the kernel forces.
+    The echelon form is unique, so the basis is too.  Scaled by the lcm
+    of the pivot entries, which divides the elimination's last pivot,
+    every column is integral before its content is divided out.
     """
-    n = rows.shape[1]
-    todo = rows.tolist()
-    if rows.dtype != object and len(todo) > n:
-        rank = int(np.linalg.matrix_rank(rows.astype(np.float64)))
-        basis: RowBasis = {}
-        k = 0
-        while k < len(todo) and len(basis) < rank:
-            _absorb(basis, todo[k])
-            k += 1
-        KB = generator_matrix(_kernel_columns(basis, n), n).T
-        if k == len(todo) or not exact_product(rows[k:], KB).any():
-            return KB
-    return generator_matrix(_kernel_columns(row_basis(todo), n), n).T
-
-
-def _kernel_columns(basis: RowBasis, n: int) -> list[list[int]]:
-    """kernel_matrix's columns from the reduced echelon basis of the
-    functionals."""
-    cols: list[list[int]] = []
-    for f in range(n):
-        if f in basis:
-            continue
-        hits = [(p, b[f], b[p]) for p, b in basis.items() if b[f]]
-        den = lcm(*(bp for _, _, bp in hits))
-        col = [0] * n
-        col[f] = den
-        for p, bf, bp in hits:
-            col[p] = -bf * (den // bp)
-        g = gcd(*col)
-        cols.append(col if g == 1 else [a // g for a in col])
-    return cols
+    B, pivots = row_basis(rows)
+    free = np.delete(np.arange(rows.shape[1]), pivots)
+    lead = B[np.arange(len(pivots)), pivots]
+    den = np.lcm.reduce(lead, initial=1)
+    K = np.zeros((rows.shape[1], len(free)), dtype=B.dtype)
+    K[free, np.arange(len(free))] = den
+    K[pivots] = -B[:, free] * (den // lead)[:, None]
+    return _narrowed(K // np.gcd.reduce(K, axis=0))
 
 
 def nonnegative_solutions(
@@ -145,26 +118,27 @@ def nonnegative_solutions(
     """Which rows t of targets satisfy t = sum c_j cols[j] with a
     nonnegative particular solution (every free coefficient zero)?
 
-    One elimination, the reduced echelon basis of [A | I] with
-    A[i][j] = cols[j][i], decides every target.  Each basis row b is
-    y [A | I] for y = b[k:].  Its pivot columns inside A are the columns
-    of A independent of the ones before them, and a row b pivoting at
-    such a column p is zero at every other pivot column, so for a
-    particular solution c, b[p] c_p = y A c = y t: with b[p] > 0, c_p
-    >= 0 exactly when y t >= 0.  The rows pivoting past A have y A = 0
-    and span A's left kernel, so t lies in the span of cols exactly when
-    each of them vanishes on t.  Both tests read one exact_product of
-    targets (from generator_matrix) with the y columns.
+    One elimination, row_basis of [A | I] with A[i][j] = cols[j][i],
+    decides every target.  Each basis row b is y [A | I] for y = b[k:].
+    Its pivot columns inside A are the columns of A independent of the
+    ones before them, and a row b pivoting at such a column p is zero at
+    every other pivot column, so for a particular solution c, b[p] c_p =
+    y A c = y t: with b[p] > 0, c_p >= 0 exactly when y t >= 0.  The
+    rows pivoting past A have y A = 0 and span A's left kernel, so t
+    lies in the span of cols exactly when each of them vanishes on t.
+    Both tests read one exact_product of targets (from generator_matrix)
+    with the y columns.
     """
     k = len(cols)
     dim = targets.shape[1]
-    basis = row_basis(
-        [int(col[i]) for col in cols] + [int(i == j) for j in range(dim)]
-        for i in range(dim)
+    B, pivots = row_basis(
+        generator_matrix(
+            [[int(col[i]) for col in cols] + [int(i == j) for j in range(dim)] for i in range(dim)],
+            k + dim,
+        )
     )
-    Y = generator_matrix([b[k:] for b in basis.values()], dim).T
-    num = exact_product(targets, Y)
-    inside = np.array([p < k for p in basis], dtype=bool)
+    num = exact_product(targets, _narrowed(B[:, k:]).T)
+    inside = np.array(pivots, dtype=np.intp) < k
     return (num[:, inside] >= 0).all(axis=1) & (num[:, ~inside] == 0).all(axis=1)
 
 
@@ -309,8 +283,16 @@ def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.astype(object) @ B.astype(object)
 
 
+def _narrowed(M: np.ndarray) -> np.ndarray:
+    """M as int64 when it is an object matrix whose entries all stay
+    below GEMM_GUARD, generator_matrix's choice; otherwise M itself."""
+    if M.dtype == object and _largest(M) < GEMM_GUARD:
+        return M.astype(np.int64)
+    return M
+
+
 def _largest(M: np.ndarray) -> int:
-    """The largest absolute entry of an int64 matrix, 0 when it is empty.
+    """The largest absolute entry of an integer matrix, 0 when it is empty.
     Two reductions read M without the copy np.abs would make."""
     return max(int(M.max(initial=0)), -int(M.min(initial=0)))
 

@@ -54,6 +54,12 @@ KLDT_TUPLE_CAP = 20000
 # about the family size the subset-sum cap allows; 3-SUM is admitted up
 # to n=73 (C(73, 3) = 62196)
 KSUM_SUBSET_CAP = 1 << 16
+# entries (rows x dim) of one family matrix, 64 MiB at 8 bytes each.  The
+# row caps bound the matrix of every shape but narrow k-SUM and k-LDT,
+# which this caps at 2-SUM n=256, 1-SUM n=2896 and 1-LDT n=2895; the widest
+# shapes the other caps admit, the 1x256 sumset (8,388,480 entries) and
+# 3-SUM n=73 (4.5 M), stay under it.
+FAMILY_ENTRY_CAP = 1 << 23
 
 # Each encoder keeps the family and meta of its last _SHAPES shapes, so
 # instances of one shape share them.  An entry holds what one instance of
@@ -62,8 +68,8 @@ KSUM_SUBSET_CAP = 1 << 16
 # an entry takes 9.4 MB for subset-sum n=16, 9.4 MB for a 16x16 sumset
 # (68 MB at 1x256), 42 MB for 3-SUM n=73 and 15 MB for 3-LDT n=28, so the
 # four caches retain at most 4 * _SHAPES such entries: about 540 MB for
-# these shapes.  The k-SUM and k-LDT caps bound rows, not width, so a
-# smaller k admits wider families (2-SUM n=362: 194 MB an entry).
+# these shapes.  FAMILY_ENTRY_CAP bounds the wider families a smaller k
+# admits (2-SUM n=256: 70 MB an entry, measured with tracemalloc).
 _SHAPES = 4
 
 
@@ -77,6 +83,13 @@ class Encoding:
     hidden: Vector
     answer_kind: str
     meta: dict = field(default_factory=dict)
+
+
+def _check_entries(rows: int, dim: int) -> None:
+    if rows * dim > FAMILY_ENTRY_CAP:
+        raise SizeCapError(
+            f"a {rows} x {dim} family matrix exceeds cap {FAMILY_ENTRY_CAP} entries"
+        )
 
 
 def _as_rationals(values: Sequence[Rational | int]) -> list[Fraction]:
@@ -96,6 +109,7 @@ def encode_ksum(values: Sequence[Rational | int], k: int) -> Encoding:
         raise SizeCapError(
             f"{count} {k}-subsets of {n} values exceed cap {KSUM_SUBSET_CAP}"
         )
+    _check_entries(count, n)
     family, subsets = _ksum_shape(n, k)
     return Encoding(
         kind="ksum",
@@ -215,6 +229,7 @@ def encode_kldt(
             f"{count} index tuples exceed cap {KLDT_TUPLE_CAP} for k={k}, n={n}"
         )
     dim = 1 + n * k
+    _check_entries(count, dim)
     hidden = [alph[0]]
     for t in range(1, k + 1):
         hidden.extend(alph[t] * a for a in vals)

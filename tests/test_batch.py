@@ -365,6 +365,37 @@ def test_rays_and_tiers_agree_on_solved_cells(kind, monkeypatch):
         assert np.array_equal(tiers[0], rays[0]) and np.array_equal(tiers[1], rays[1])
 
 
+SERVED_CASES = {
+    "ksum32": lambda r, planted: encode_ksum(random_ksum_instance(r, 32, 3, planted), 3),
+    "subset14": lambda r, planted: encode_subset_sum(random_subset_sum_instance(r, 14, planted)),
+    "sortab12": lambda r, planted: encode_sort_sumset(*random_sumset_instance(r, 12, 12)),
+    "kldt12": lambda r, planted: encode_kldt(*random_kldt_instance(r, 12, 3, planted)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SERVED_CASES))
+def test_kernel_bases_of_served_cells_match_the_fraction_reference(kind, monkeypatch):
+    # the shapes the benchmark solves (3-SUM n=32, subset-sum n=14, a
+    # 12x12 sumset, 3-LDT n=12), planted and not: every kernel basis of
+    # a cell's equalities equals the Fraction reference
+    captured = []
+    kernel = batch.kernel_matrix
+
+    def recording(rows):
+        KB = kernel(rows)
+        captured.append((rows.tolist(), KB))
+        return KB
+
+    monkeypatch.setattr(batch, "kernel_matrix", recording)
+    for seed, planted in ((1, True), (2, False)):
+        enc = SERVED_CASES[kind](SplitMix64(seed), planted)
+        solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed=seed))
+    assert captured
+    for rows, KB in captured:
+        assert KB.dtype == np.int64
+        assert KB.T.tolist() == kernel_basis_reference(rows, len(rows[0]))
+
+
 def test_engine_never_contradicts_hidden_point():
     rng = SplitMix64(17)
     for _ in range(40):

@@ -115,6 +115,14 @@ def test_ksum_cap_exit_code(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def test_entry_cap_exit_code(tmp_path, capsys):
+    # 3000 values pass the 1-subset row cap, and 3000 x 3000 entries do not
+    p = tmp_path / "wide.txt"
+    p.write_text(" ".join(str(v) for v in range(3000)) + "\n")
+    assert main(["solve", "ksum", "--input", str(p), "--k", "1"]) == 3
+    assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_kldt_k_mismatch(tmp_path, capsys):
     p = tmp_path / "l.txt"
     p.write_text("-3 1 1\n1 2 5\n")

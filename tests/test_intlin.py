@@ -8,8 +8,9 @@ certificate is checked against in test_batch.  The double description
 is held to the definitions: every ray satisfies the rows with the
 tight-row rank of an extreme ray, the lineality basis spans the
 kernel, and every point of the cone is a combination of them.
-Inputs mix zero, duplicate and dependent rows, negative entries, and
-entries of 2^62 or more.
+Inputs mix zero, duplicate and dependent rows, negative entries,
+entries of 2^62 or more, and int64 entries whose elimination has to
+finish in Python integers.
 """
 
 from fractions import Fraction
@@ -26,7 +27,6 @@ from ldt.intlin import (
     nonnegative_solutions,
     repeated,
 )
-from ldt.prng import SplitMix64
 
 
 def _rref_reference(rows, n):
@@ -176,56 +176,94 @@ def test_rank_stopped_kernel_matches_kernel_basis(case):
     assert got.tolist() == want.tolist()
 
 
-def _dependent_rows(rng, n, rank, count):
-    """count rows over n columns spanning a space of the given rank:
-    random rows first, then combinations of them."""
-    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
-    while len(rows) < count:
-        a, b = rows[rng.below(len(rows))], rows[rng.below(len(rows))]
-        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
-        rows.append([s * x + t * y for x, y in zip(a, b)])
-    return rows
+def _wide(top):
+    """Entries of magnitude top / 4 to top, either sign, or small ones."""
+    big = st.integers(min_value=top >> 2, max_value=top)
+    return st.one_of(big, big.map(lambda a: -a), st.integers(min_value=-3, max_value=3))
 
 
-def test_rank_stopped_kernel_stops_at_the_rank(monkeypatch):
-    absorbed = 0
-    absorb = intlin._absorb
-
-    def counting(basis, row):
-        nonlocal absorbed
-        absorbed += 1
-        absorb(basis, row)
-
-    monkeypatch.setattr(intlin, "_absorb", counting)
-    rows = [[1, 0, 0, 2], [0, 1, 0, -1], [0, 0, 0, 0]] + [[1, 1, 0, 1]] * 20
-    KB = kernel_matrix(generator_matrix(rows, 4))
-    assert absorbed == 2
-    assert KB.tolist() == _kernel_as_matrix(rows, 4).tolist()
-
-
-def test_rank_stopped_kernel_resumes_past_a_low_float_rank(monkeypatch):
-    rng = SplitMix64(2)
-    float_rank = np.linalg.matrix_rank
-    for shortfall in (1, 2, 100):
-        monkeypatch.setattr(
-            np.linalg, "matrix_rank", lambda a, s=shortfall: max(0, float_rank(a) - s)
-        )
-        for _ in range(40):
-            n = 1 + rng.below(7)
-            rows = _dependent_rows(rng, n, 1 + rng.below(n), 1 + rng.below(15))
-            got = kernel_matrix(generator_matrix(rows, n))
-            assert got.tolist() == _kernel_as_matrix(rows, n).tolist()
+@st.composite
+def int64_matrices(draw):
+    """int64 rows over n columns whose elimination outgrows int64:
+    random rows of wide entries, zero rows, and small combinations of
+    earlier rows.  Below 2^30 the first pivot's step passes the guard,
+    (2^30 + 2^30) 2^30 = 2^61, and the products of the next one do not;
+    entries up to 2^40 leave int64 before the first step."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    wide = _wide(draw(st.sampled_from([1 << 30, 1 << 30, 1 << 40])))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combo"]))
+        if kind == "zero" or (kind == "combo" and not rows):
+            rows.append([0] * n)
+        elif kind == "combo":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(min_value=-3, max_value=3)), draw(st.integers(min_value=-3, max_value=3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(wide, min_size=n, max_size=n)))
+    return n, rows
 
 
-def test_rank_stopped_kernel_takes_the_exact_path_past_the_guard(monkeypatch):
-    def no_float_rank(a):
-        raise AssertionError("object rows must not be rounded to floats")
+@settings(max_examples=300, deadline=None)
+@given(int64_matrices(), st.data())
+def test_elimination_past_int64_matches_the_references(case, data):
+    # the kernel basis and the support solves of int64 input that the
+    # elimination finishes in Python integers; the kernel comes back in
+    # generator_matrix's dtype for its entries
+    n, rows = case
+    M = generator_matrix(rows, n)
+    assert M.dtype == np.int64
+    got = kernel_matrix(M)
+    want = _kernel_as_matrix(rows, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    targets = [data.draw(st.lists(_wide(1 << 40), min_size=n, max_size=n)) for _ in range(2)]
+    targets += [[sum(row[i] for row in rows) for i in range(n)]]
+    verdicts = nonnegative_solutions(rows, generator_matrix(targets, n))
+    assert verdicts.tolist() == [support_solve_reference(rows, t, n) for t in targets]
 
-    monkeypatch.setattr(np.linalg, "matrix_rank", no_float_rank)
+
+def test_elimination_leaves_int64_after_its_first_pivot():
+    # the first step's bound is (2^30 + 2^30) 2^30 = 2^61, the second's
+    # past 2^62: the basis ends in Python integers, the kernel in int64
+    rows = [[1 << 30, 1, 0], [1, 1 << 30, 1]]
+    M = generator_matrix(rows, 3)
+    B, pivots = intlin.row_basis(M)
+    assert M.dtype == np.int64 and B.dtype == object and pivots == [0, 1]
+    got = kernel_matrix(M)
+    assert got.dtype == np.int64
+    assert got.tolist() == _kernel_as_matrix(rows, 3).tolist() == [[1], [-(1 << 30)], [(1 << 60) - 1]]
+
+
+def test_kernel_of_object_rows_takes_the_exact_path():
     rows = [[HUGE, 1, 0], [2 * HUGE, 2, 0], [0, 0, 5], [HUGE, 1, 5]]
     M = generator_matrix(rows, 3)
     assert M.dtype == object
-    assert kernel_matrix(M).tolist() == _kernel_as_matrix(rows, 3).tolist()
+    got = kernel_matrix(M)
+    want = _kernel_as_matrix(rows, 3)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_kernel_edge_cases_keep_their_shapes_and_dtypes():
+    # no rows, zero rows, one row, more rows than columns, and full
+    # rank, where the basis has no column; object rows of full rank too
+    I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cases = [
+        ([], 3, I3),
+        ([[0, 0, 0], [0, 0, 0]], 3, I3),
+        ([[2, -4, 6]], 3, [[2, -3], [1, 0], [0, 1]]),
+        ([[1, 2], [2, 4], [3, 6]], 2, [[-2], [1]]),
+        ([[1, 2], [3, 4]], 2, [[], []]),
+        ([[1, 0], [0, 1], [1, 1], [2, 3]], 2, [[], []]),
+        ([[HUGE, 1], [1, 0]], 2, [[], []]),
+        ([], 0, []),
+    ]
+    for rows, n, want in cases:
+        got = kernel_matrix(generator_matrix(rows, n))
+        assert got.dtype == np.int64
+        assert got.shape == (n, len(want[0]) if want else 0)
+        assert got.tolist() == want == _kernel_as_matrix(rows, n).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,21 +315,23 @@ def test_support_solve_edge_cases():
 
 
 def test_support_solve_runs_one_elimination(monkeypatch):
-    # one row of [A | I] absorbed per coordinate, however many targets
-    absorbed = 0
-    absorb = intlin._absorb
+    # one row_basis of [A | I], however many targets
+    calls = 0
+    basis = intlin.row_basis
 
-    def counting(basis, row):
-        nonlocal absorbed
-        absorbed += 1
-        absorb(basis, row)
+    def counting(M):
+        nonlocal calls
+        calls += 1
+        return basis(M)
 
-    monkeypatch.setattr(intlin, "_absorb", counting)
+    monkeypatch.setattr(intlin, "row_basis", counting)
     cols = [[1, 0, 2], [0, 1, -1], [1, 1, 1], [2, 0, 4]]
     targets = [[1, 1, 1], [3, 1, 5], [-1, 0, -2], [0, 0, 1], [1, 0, 0]] * 8
-    got = nonnegative_solutions(cols, generator_matrix(targets, 3))
-    assert absorbed == 3
-    assert got.tolist() == [support_solve_reference(cols, t, 3) for t in targets]
+    for count in (0, 1, 5, 40):
+        calls = 0
+        got = nonnegative_solutions(cols, generator_matrix(targets[:count], 3))
+        assert calls == 1
+        assert got.tolist() == [support_solve_reference(cols, t, 3) for t in targets[:count]]
     assert got[:5].tolist() == [True, True, False, False, False]
 
 

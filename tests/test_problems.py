@@ -80,12 +80,18 @@ def test_subset_sum_cap():
         encode_subset_sum([Fraction(1)] * 17)
 
 
-def test_ksum_cap():
+def test_ksum_cap(monkeypatch):
     # C(75, 3) = 67525 subsets: refused before any is built
     with pytest.raises(SizeCapError):
         encode_ksum(list(range(75)), 3)
     # 3-SUM n=64 (41664 hyperplanes) stays admitted
     assert len(encode_ksum(list(range(64)), 3).family) == 41664
+    # the entry cap stops 2-SUM past n=256 (shapes stubbed, so that no
+    # matrix is built)
+    monkeypatch.setattr(problems, "_ksum_shape", lambda n, k: (None, ()))
+    assert encode_ksum(list(range(256)), 2).dim == 256
+    with pytest.raises(SizeCapError):
+        encode_ksum(list(range(257)), 2)
 
 
 def test_sumset_ordering_frozen():
@@ -341,6 +347,12 @@ def test_caps_refuse_before_any_matrix_is_allocated(monkeypatch):
         encode_sort_sumset(list(range(17)), list(range(16)))
     with pytest.raises(SizeCapError):
         encode_kldt([1, 1, 1, 1], list(range(30)))
+    # k=1 passes the row caps, but not the matrix's: 65,536 x 65,536
+    # and 20,000 x 20,001 entries
+    with pytest.raises(SizeCapError, match="cap 8388608 entries"):
+        encode_ksum(list(range(65536)), 1)
+    with pytest.raises(SizeCapError, match="cap 8388608 entries"):
+        encode_kldt([1, 1], list(range(20000)))
 
 
 def _ordering_reference(enc, pattern):
