@@ -14,7 +14,6 @@ from .geometry import (
     Sign,
     SignVector,
     Vector,
-    inner_product,
     sign_of,
 )
 from .batch import ChainCell, cell_from_sample, infer_set
@@ -39,7 +38,7 @@ from .problems import (
     extract_answer,
 )
 from .prng import SplitMix64
-from .solver import SolveConfig, SolveReport, SolverStalledError, decide, solve
+from .solver import SolveConfig, SolveReport, SolverStalledError, solve
 
 __all__ = [
     "ChainCell",
@@ -66,7 +65,6 @@ __all__ = [
     "Vector",
     "build_sorted_sample",
     "cell_from_sample",
-    "decide",
     "encode_ksum",
     "encode_kldt",
     "encode_sort_sumset",
@@ -76,7 +74,6 @@ __all__ = [
     "feasible",
     "infer_set",
     "infer_sign",
-    "inner_product",
     "interior_witness",
     "sign_of",
     "solve",

@@ -65,6 +65,8 @@ def _read_input(path: str) -> str:
 def _encode_from_args(args: argparse.Namespace) -> Encoding:
     text = _read_input(args.input)
     if args.problem == "ksum":
+        if args.k is None:
+            raise InstanceFormatError("ksum needs --k, the subset size")
         return encode_ksum(parse_value_line(text), args.k)
     if args.problem == "subsetsum":
         return encode_subset_sum(parse_value_line(text))

@@ -56,19 +56,11 @@ class Sign(IntEnum):
     def char(self) -> str:
         return _SIGN_TO_CHAR[self]
 
-    @classmethod
-    def from_char(cls, ch: str) -> "Sign":
-        try:
-            return _CHAR_TO_SIGN[ch]
-        except KeyError:
-            raise ValueError(f"not a sign character: {ch!r}") from None
-
     def flipped(self) -> "Sign":
         return Sign(-int(self))
 
 
 _SIGN_TO_CHAR = {Sign.MINUS: "-", Sign.ZERO: "0", Sign.PLUS: "+"}
-_CHAR_TO_SIGN = {ch: sign for sign, ch in _SIGN_TO_CHAR.items()}
 
 
 def sign_of(q: Rational | int) -> Sign:
@@ -131,19 +123,6 @@ class Vector:
     def zero(cls, dim: int) -> "Vector":
         return cls([0] * dim)
 
-    @classmethod
-    def unit(cls, dim: int, index: int) -> "Vector":
-        coords = [0] * dim
-        coords[index] = 1
-        return cls(coords)
-
-    @classmethod
-    def parse(cls, text: str) -> "Vector":
-        tokens = text.split()
-        if not tokens:
-            raise ValueError("empty vector text")
-        return cls(parse_rational(t) for t in tokens)
-
     @property
     def dim(self) -> int:
         return len(self._key())
@@ -200,18 +179,6 @@ class Vector:
             return not any(a)
         return not any(self._coords)
 
-    def linf(self) -> Rational:
-        a = self.ints
-        if a is not None:
-            return Fraction(max(map(abs, a), default=0))
-        return max((abs(c) for c in self._coords), default=Fraction(0))
-
-    def l1(self) -> Rational:
-        a = self.ints
-        if a is not None:
-            return Fraction(sum(map(abs, a)))
-        return sum((abs(c) for c in self._coords), Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
@@ -233,11 +200,6 @@ class Vector:
         return f"Vector({str(self)!r})"
 
 
-def inner_product(h: Vector, x: Vector) -> Rational:
-    """Exact inner product of two vectors of equal dimension."""
-    return h.dot(x)
-
-
 class Family(Sequence[Vector]):
     """An immutable hyperplane family held as one integer row matrix.
 
@@ -245,28 +207,20 @@ class Family(Sequence[Vector]):
     GEMM_GUARD, Python integers (object dtype) past it.  A rational
     family is scaled by one common positive denominator den, which
     changes no label and no comparison, so rows is integral for every
-    family.  A family made from Vectors keeps them, so family[i] is the
-    Vector the caller passed in; a family made from a matrix builds
-    family[i], rows[i] / den, only when asked, and members(ids) builds
-    a whole list of them from one conversion of their rows.
+    family.  family[i] is the Vector rows[i] / den, built when asked.
 
     top is the largest absolute entry of rows.  The duplicate map and
     the distinct nonzero rows (first_copies) are computed on first use
     and kept, so a family shared by many solves pays for them once.
     """
 
-    __slots__ = ("rows", "den", "top", "_vectors", "_copies")
+    __slots__ = ("rows", "den", "top", "_copies")
 
     rows: np.ndarray
     den: int
     top: int
 
-    def __init__(
-        self,
-        rows: np.ndarray,
-        den: int = 1,
-        vectors: Sequence[Vector] | None = None,
-    ) -> None:
+    def __init__(self, rows: np.ndarray, den: int = 1) -> None:
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise ValueError("family rows must form a matrix")
@@ -280,12 +234,9 @@ class Family(Sequence[Vector]):
         rows.flags.writeable = False
         if type(den) is not int or den < 1:
             raise ValueError("the common denominator must be a positive integer")
-        if vectors is not None and len(vectors) != len(rows):
-            raise ValueError("one Vector per row")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "top", top)
-        object.__setattr__(self, "_vectors", vectors)
         object.__setattr__(self, "_copies", None)
 
     @classmethod
@@ -306,7 +257,7 @@ class Family(Sequence[Vector]):
                 tuple(c.numerator * (den // c.denominator) for c in v.coords)
                 for v in vecs
             ]
-        return cls(generator_matrix(ints, dim), den, vecs)
+        return cls(generator_matrix(ints, dim), den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Family is immutable")
@@ -319,20 +270,7 @@ class Family(Sequence[Vector]):
         return self.rows.shape[0]
 
     def __getitem__(self, index: int) -> Vector:
-        i = operator.index(index)
-        if self._vectors is not None:
-            return self._vectors[i]
-        return self._member(self.rows[i].tolist())
-
-    def members(self, ids: Sequence[int]) -> list[Vector]:
-        """[family[i] for i in ids], a matrix family's from one
-        conversion of the rows they index."""
-        if self._vectors is not None:
-            held = self._vectors
-            return [held[i] for i in ids]
-        rows = self.rows[np.asarray(ids, dtype=np.intp)].tolist()
-        member = self._member
-        return [member(row) for row in rows]
+        return self._member(self.rows[operator.index(index)].tolist())
 
     def first_copies(self) -> tuple[np.ndarray, np.ndarray]:
         """(alias, distinct), computed on the first call and kept.
@@ -467,9 +405,6 @@ class SignVector:
         ):
             raise KeyError(next(i for i in range(length) if i not in self))
         return self._signs[:length]
-
-    def ids(self) -> list[int]:
-        return self._ids.tolist()
 
     def items(self) -> list[tuple[int, Sign]]:
         return list(self._lookup().items())

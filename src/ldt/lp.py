@@ -240,7 +240,9 @@ def interior_witness(system: HomogeneousSystem) -> Vector | None:
 
 
 def _sample_system(sample: SortedSample, family: Family) -> HomogeneousSystem:
-    members = family.members(sample.ids)
+    """The sample's cell as a rational system over the member Vectors
+    family[i], rows[i] / den, one for each id the sample names."""
+    members = [family[i] for i in sample.ids]
     strict: list[Vector] = []
     equalities: list[Vector] = []
     for v, lab in zip(members, sample.labels):

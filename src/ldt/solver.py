@@ -15,11 +15,12 @@ the seed.
 The family is converted to one integer matrix (see geometry.Family),
 which computes its bookkeeping once and keeps it for every solve on it:
 duplicate and zero rows (Family.first_copies) and the coordinate bound
-W (Family.top).  The live set is an ascending array of row indices.  The oracle is asked about rows by
-index (HiddenPointOracle.query_rows), and a round's sorted sample names
-its members by the same indices, so a solve builds no Vector.  Only in
-strict mode does the oracle build the Vectors of the rows it is asked
-about, to check them against the declared family.
+W (Family.top).  The live set is an ascending array of row indices.
+The oracle is asked about rows by index (HiddenPointOracle.query_rows),
+and a round's sorted sample names its members by the same indices, so a
+solve builds no Vector.  A strict oracle checks once per query call
+that the family is the declared one, so every label it answers is about
+a declared member and every comparison about the difference of two.
 """
 
 from __future__ import annotations
@@ -174,8 +175,3 @@ def solve(
         dim=n,
         family_size=m,
     )
-
-
-def decide(report: SolveReport) -> bool:
-    """True when some hyperplane passes through the hidden point."""
-    return report.pattern.contains_zero()

@@ -12,6 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from ldt.geometry import Vector
+from ldt.oracle import HiddenPointOracle
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ldt"
 
@@ -50,8 +53,13 @@ def test_oracle_owns_the_secret():
     # the only module allowed to hold the hidden point during a solve
     mods, names = _imports_of(SRC / "solver.py")
     assert any("oracle" in m for m in mods)
+    private = [a for a in vars(HiddenPointOracle(Vector([1]))) if a.startswith("_")]
+    assert "_secret_col" in private
+    for fname in SOLVER_SIDE:
+        text = (SRC / fname).read_text()
+        assert "_secret" not in text, fname
+        assert not [a for a in private if f".{a}" in text], fname
     text = (SRC / "solver.py").read_text()
-    assert "._secret" not in text
     assert "secret" not in text.replace("HiddenPointOracle", "")
 
 

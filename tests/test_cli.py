@@ -129,6 +129,13 @@ def test_kldt_k_mismatch(tmp_path, capsys):
     assert main(["solve", "kldt", "--input", str(p), "--k", "5"]) == 2
 
 
+def test_ksum_without_k_exit_code(ksum_file, capsys):
+    # a missing subset size is bad input (exit 2), not a failed lab check (1)
+    assert main(["solve", "ksum", "--input", ksum_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--k" in err
+
+
 def test_lab_bad_parameter_exit_code(capsys):
     # --d beyond the family size is bad input, not a crash
     assert main(["lab", "infdim", "--dim", "2", "--count", "3", "--d", "4"]) == 2
