@@ -21,8 +21,8 @@ _RAY_DIM is then decided in one step:
 Above that dimension, or once the generators outnumber the rows left
 to decide, the tiers run instead, cheapest proof first:
 
-  * reject against a pool of exact interior points (mixed signs, or a
-    zero value at an interior point, rule inference out);
+  * screen at one exact interior point, where a row the cell
+    determines takes its only sign: that sign is the row's candidate;
   * certify by dominance, once per cell: the harvested coordinate
     comparisons, closed into one order matrix, and an anchor of the
     row's own side (or the origin) combine into explicit conic
@@ -39,19 +39,20 @@ to decide, the tiers run instead, cheapest proof first:
 
 Floating point only ever proposes, and numpy does all of it: a
 normalised product picks the double description's next constraint, a
-log-barrier Newton method (linprog) proposes the pool's max-margin
+log-barrier Newton method (linprog) proposes the max-margin interior
 point and a Lawson-Hanson NNLS (_nnls) proposes certificate supports
 and Farkas vectors.  Every accepted sign carries an exact certificate,
 so a wrong answer is impossible; the only cost of a missed proof is a
-hyperplane left undetermined.  Pool points are verified too, so a poor
-proposal only weakens the screen.  All exact algebra is fraction-free
-integer arithmetic from intlin: the kernel bases of the equalities and
-of a Farkas vector's tight rows, the cone's rays and lineality, the
-integer products that reduce the cell and the live rows by it, decide
-the rows against the rays, screen them against the pool and check
-every Farkas vector (exact_product, int64 while the sums fit), and the
-batched support solves that verify least-squares proposals (one
-elimination per support, one product with all its targets).
+hyperplane left undetermined.  The interior point is verified too, and
+any exact one gives the same decisions.  All exact algebra is
+fraction-free integer arithmetic from intlin: the kernel bases of the
+equalities and of a Farkas vector's tight rows, the cone's rays and
+lineality, the integer products that reduce the cell and the live rows
+by it, decide the rows against the rays, screen them at the interior
+point and check every Farkas vector (exact_product, int64 while the
+sums fit), and the batched support solves that verify least-squares
+proposals (one elimination per support, one product with all its
+targets).
 
 A round makes two calls: cell_from_sample builds the reduced cell from
 the sorted sample, and infer_set decides the live rows against it.
@@ -151,35 +152,33 @@ def cell_from_sample(sample: SortedSample, family: Family) -> ChainCell:
     """
     rows = family.rows[sample.ids]
     dim = rows.shape[1]
-    blocks = sample.blocks
-    labels = sample.labels
-    blabels = [labels[blk[0]] for blk in blocks]
-    if any(labels[p] is not lab for blk, lab in zip(blocks, blabels) for p in blk):
+    order = np.asarray(sample.order, dtype=np.intp)
+    starts = np.asarray(sample.starts, dtype=np.intp)
+    # the labels and block number of each member, in sorted order
+    labs = np.array(sample.labels, dtype=np.int8)[order]
+    first = np.zeros(len(order), dtype=bool)
+    first[starts] = True
+    block = np.cumsum(first) - 1
+    blabels = labs[starts]
+    if (labs != blabels[block]).any():
         raise InconsistentSampleError("tied values with differing labels")
-    zero_blocks = [i for i, lab in enumerate(blabels) if lab is Sign.ZERO]
+    zero_blocks = np.flatnonzero(blabels == Sign.ZERO)
     if len(zero_blocks) > 1:
         raise InconsistentSampleError("zero-labelled members in two separate blocks")
-    reps_full = rows[[blk[0] for blk in blocks]]
-    z = zero_blocks[0] if zero_blocks else -1
+    reps_full = rows[order[starts]]
+    z = int(zero_blocks[0]) if len(zero_blocks) else -1
     # every member of a block equals its head, and the zero block is
     # zero: an equality row is a member minus its head, or minus the
     # zero row appended below the members, in block order
-    origin = len(rows)
-    tails: list[int] = []
-    heads: list[int] = []
-    for b, blk in enumerate(blocks):
-        if b == z:
-            tails += blk
-            heads += [origin] * len(blk)
-        elif len(blk) > 1:
-            tails += blk[1:]
-            heads += [blk[0]] * (len(blk) - 1)
+    in_zero = block == z
+    tails = ~first | in_zero
+    heads = np.where(in_zero, len(rows), order[starts][block])
     padded = np.concatenate([rows, np.zeros((1, dim), dtype=rows.dtype)])
-    e_rows = padded[tails] - padded[heads]
-    if zero_blocks:
+    e_rows = padded[order[tails]] - padded[heads[tails]]
+    if z >= 0:
         reps_full[z] = 0
     else:
-        z = sum(1 for lab in blabels if lab is Sign.MINUS)
+        z = int((blabels == Sign.MINUS).sum())
         reps_full = np.insert(reps_full, z, 0, axis=0)
 
     if len(e_rows):
@@ -308,33 +307,29 @@ def linprog(A: np.ndarray) -> tuple[np.ndarray, float]:
     return z[:n], float(z[-1])
 
 
-def _build_pool(cc: ChainCell) -> np.ndarray:
-    """Exact integer points interior to the reduced cell, as columns.
+def _interior_point(cc: ChainCell) -> np.ndarray | None:
+    """An exact integer point strictly inside the reduced cell, or None.
 
-    A max-margin float program (linprog) proposes one point, rounded to
+    A max-margin float program (linprog) proposes it, rounded to
     integers at the smallest power of two S with S * margin >
     sqrt(n_red), past which rounding moves no unit row's product by half
-    the margin.  The point is the pool only with every strict product
-    positive.  With no chain rows the cell is the whole reduced space
-    and signed units suffice.  An empty result is allowed: the caller
-    then simply has nothing to screen with and leaves the round to
-    direct labels.
+    the margin; it counts only with every chain product positive.  A
+    cell with no chain rows, the whole reduced space, gets None, since
+    every nonzero row takes both signs there; None leaves every nonzero
+    row to direct labels.
     """
-    nr = cc.n_red
     if not len(cc.chain):
-        eye = np.eye(nr, dtype=np.int64)
-        return np.hstack([eye, -eye])
-    C = cc.chain
+        return None
     Cf = cc.chain_t.T
     # maximize the worst row margin, in units of each row's norm
     y, margin = linprog(Cf / np.linalg.norm(Cf, axis=1)[:, None])
     if margin > 1e-12:
         # |y_j| < 1 and margin > 1e-12 keep the scale below 2^49 for
         # n_red below 2^16, so the rounded point stays inside int64
-        seed = np.rint(y * (1 << frexp(sqrt(nr) / margin)[1])).astype(np.int64)
-        if seed.any() and (exact_product(C, seed) > 0).all():
-            return seed[:, None]
-    return np.zeros((nr, 0), dtype=np.int64)
+        point = np.rint(y * (1 << frexp(sqrt(cc.n_red) / margin)[1])).astype(np.int64)
+        if (exact_product(cc.chain, point) > 0).all():
+            return point
+    return None
 
 
 def _decompose_units(g: Sequence[int], order: list[list[bool]]) -> bool:
@@ -542,16 +537,12 @@ def _exact_memberships(cc: ChainCell, targets: np.ndarray) -> list[bool | None]:
 
 
 def _fast_uniform_certs(
-    cc: ChainCell,
-    Hred: np.ndarray,
-    cand_plus: np.ndarray,
-    cand_minus: np.ndarray,
-    settled: np.ndarray,
-    signs: np.ndarray,
+    cc: ChainCell, Hred: np.ndarray, cand: np.ndarray, signs: np.ndarray
 ) -> bool:
     """Anchor dominance for 0/1 rows of one weight; True when it decided
     the cell: every row of Hred, and every anchor of both sides after
-    its sign, is 0/1 of one weight k <= 4.
+    its sign, is 0/1 of one weight k <= 4.  A row it proves takes its
+    candidate sign from cand into signs and leaves cand.
 
     A row certifies PLUS when its support maps one-to-one onto the
     support of an anchor above zero, each coordinate provably at least
@@ -584,13 +575,8 @@ def _fast_uniform_certs(
     at_least = cc.order | np.eye(nr + 1, dtype=bool)
     perms = np.array(list(permutations(range(k))))
     slots = np.arange(k)
-    for sign, cand, A, dominates in (
-        (1, cand_plus, above, at_least),
-        (-1, cand_minus, below, at_least.T),
-    ):
-        rows = np.flatnonzero(cand)
-        if not rows.size:
-            continue
+    for sign, A, dominates in ((1, above, at_least), (-1, below, at_least.T)):
+        rows = np.flatnonzero(cand == sign)
         idx = np.nonzero(Hred[rows])[1].reshape(rows.size, k)
         # the origin as anchor (node nr, never a row coordinate)
         hits = dominates[idx, nr].all(axis=1)
@@ -600,8 +586,8 @@ def _fast_uniform_certs(
             # D[r, t, s]: row coordinate t dominates anchor coordinate s
             D = dominates[idx[:, :, None], a]
             hits |= D[:, slots, perms].all(axis=2).any(axis=1)
-        settled[rows[hits]] = True
         signs[rows[hits]] = sign
+        cand[rows[hits]] = 0
     return True
 
 
@@ -675,40 +661,30 @@ def _decide_rows(cc: ChainCell, Hfull: np.ndarray) -> tuple[np.ndarray, np.ndarr
         if decided is not None:
             signs[rows] = decided
             return signs, zero_rows | (signs != 0)
-    settled = np.array(zero_rows, dtype=bool, copy=True)
+    # a row of sign 0 at an interior point takes both signs; a proof
+    # moves a candidate into signs, and a proof or a Farkas vector ends it
+    point = _interior_point(cc) if rows.size else None
+    if point is None:
+        return signs, zero_rows
+    cand = np.sign(exact_product(Hred, point)).astype(np.int8)
+    uniform = _fast_uniform_certs(cc, Hred, cand, signs)
 
-    # an empty pool means nothing to screen with; every nonzero row is
-    # then left undetermined and the caller labels it directly
-    Y = _build_pool(cc) if not settled.all() else None
-    if Y is not None and Y.shape[1]:
-        D = exact_product(Hred, Y)
-        cand_plus = (D > 0).all(axis=1) & ~settled
-        cand_minus = (D < 0).all(axis=1) & ~settled
-        uniform = _fast_uniform_certs(cc, Hred, cand_plus, cand_minus, settled, signs)
-
-        leftovers = np.flatnonzero(~settled & (cand_plus | cand_minus))
-        flips = np.where(cand_plus[leftovers], 1, -1)
-        targets = Hred[leftovers] * flips[:, None]
-        for i, flip, verdict in zip(
-            leftovers, flips, _exact_memberships(cc, targets)
-        ):
-            if verdict is True:
-                signs[i] = flip
-                settled[i] = True
-            elif verdict is False:
-                # proven outside the cone: not inferable either way,
-                # leave it for a direct label
-                settled[i] = True
-        # in a uniform cell the 0/1 check has found every anchored
-        # certificate already
-        still = [] if uniform else np.flatnonzero(~settled & (cand_plus | cand_minus))
-        order = cc.order.tolist() if len(still) else []
-        for i in still:
-            flip = 1 if cand_plus[i] else -1
-            anchors = cc.above if flip > 0 else cc.below
-            if _anchored_cert((Hred[i] * flip).tolist(), anchors, order):
-                signs[i] = flip
-                settled[i] = True
+    open_rows = np.flatnonzero(cand)
+    targets = Hred[open_rows] * cand[open_rows, None]
+    for i, verdict in zip(open_rows, _exact_memberships(cc, targets)):
+        if verdict is True:
+            signs[i] = cand[i]
+        if verdict is not None:
+            cand[i] = 0
+    # in a uniform cell the 0/1 check has found every anchored
+    # certificate already
+    still = [] if uniform else np.flatnonzero(cand)
+    order = cc.order.tolist() if len(still) else []
+    for i in still:
+        side = int(cand[i])
+        anchors = cc.above if side > 0 else cc.below
+        if _anchored_cert((Hred[i] * side).tolist(), anchors, order):
+            signs[i] = side
 
     # rows proven outside the cone keep sign 0 and stay undetermined,
     # so they get direct labels

@@ -56,9 +56,6 @@ class Sign(IntEnum):
     def char(self) -> str:
         return _SIGN_TO_CHAR[self]
 
-    def flipped(self) -> "Sign":
-        return Sign(-int(self))
-
 
 _SIGN_TO_CHAR = {Sign.MINUS: "-", Sign.ZERO: "0", Sign.PLUS: "+"}
 

@@ -27,15 +27,19 @@ class SortedSample:
     """Labels and sorted order of a queried sample.
 
     ids holds the members' row indices into the family they were drawn
-    from, in sample order; labels align with ids.  blocks groups the
-    member positions into equal-value blocks, each ascending, listed by
-    increasing inner product with the hidden point: members of one block
-    tie, and each block lies strictly below the next.
+    from, in sample order; labels align with ids.  order lists the
+    member positions by increasing inner product with the hidden point,
+    and starts the indices into order where each equal-value block
+    begins, ascending from 0: members of one block tie, each block
+    lists its positions ascending and lies strictly below the next.
+    Both are flat int lists, so a sort allocates no container per
+    member.
     """
 
     ids: list[int]
     labels: list[Sign]
-    blocks: list[list[int]]
+    order: list[int]
+    starts: list[int]
 
 
 class InconsistentSampleError(RuntimeError):
@@ -62,20 +66,23 @@ def build_sorted_sample(
     ids = list(ids)
     labels, compare = oracle.query_rows(family, ids)
     minus, plus = Sign.MINUS, Sign.PLUS
+    # the sort moves block heads only; tied[h] holds the other members
+    # of the block headed by h, so a list is made per tie, not per member
+    tied: dict[int, list[int]] = {}
 
-    def merge_sort(items: list[list[int]]) -> list[list[int]]:
-        if len(items) <= 1:
-            return items
-        mid = len(items) // 2
-        left = merge_sort(items[:mid])
-        right = merge_sort(items[mid:])
-        out: list[list[int]] = []
+    def merge_sort(heads: list[int]) -> list[int]:
+        if len(heads) <= 1:
+            return heads
+        mid = len(heads) // 2
+        left = merge_sort(heads[:mid])
+        right = merge_sort(heads[mid:])
+        out: list[int] = []
         append = out.append
         i = j = 0
         n_left, n_right = len(left), len(right)
         while i < n_left and j < n_right:
             a, b = left[i], right[j]
-            s = compare(a[0], b[0])
+            s = compare(a, b)
             if s is minus:
                 append(a)
                 i += 1
@@ -84,23 +91,29 @@ def build_sorted_sample(
                 j += 1
             else:
                 # left positions precede right ones: the block stays ascending
-                append(a + b)
+                block = tied.setdefault(a, [])
+                block.append(b)
+                block += tied.pop(b, ())
+                append(a)
                 i += 1
                 j += 1
         out.extend(left[i:])
         out.extend(right[j:])
         return out
 
-    by_label: dict[Sign, list[list[int]]] = {lab: [] for lab in Sign}
+    by_label: dict[Sign, list[int]] = {lab: [] for lab in Sign}
     for p, lab in enumerate(labels):
-        by_label[lab].append([p])
-    zeros = [p for [p] in by_label[Sign.ZERO]]
-    blocks = (
-        merge_sort(by_label[Sign.MINUS])
-        + ([zeros] if zeros else [])
-        + merge_sort(by_label[Sign.PLUS])
-    )
-    return SortedSample(ids, labels, blocks)
+        by_label[lab].append(p)
+    zeros = by_label[Sign.ZERO]
+    if zeros:
+        tied[zeros[0]] = zeros[1:]
+    order: list[int] = []
+    starts: list[int] = []
+    for h in merge_sort(by_label[minus]) + zeros[:1] + merge_sort(by_label[plus]):
+        starts.append(len(order))
+        order.append(h)
+        order += tied.get(h, ())
+    return SortedSample(ids, labels, order, starts)
 
 
 @dataclass

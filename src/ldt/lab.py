@@ -310,13 +310,12 @@ def sample_at(ids: Sequence[int], family: Family, x: Vector) -> SortedSample:
     ids = list(ids)
     values = [family[i].dot(x) for i in ids]
     labels = [sign_of(val) for val in values]
-    blocks: list[list[int]] = []
-    for i in sorted(range(len(ids)), key=values.__getitem__):
-        if blocks and values[blocks[-1][0]] == values[i]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return SortedSample(ids, labels, blocks)
+    order = sorted(range(len(ids)), key=values.__getitem__)
+    starts = [
+        k for k in range(len(order))
+        if not k or values[order[k]] != values[order[k - 1]]
+    ]
+    return SortedSample(ids, labels, order, starts)
 
 
 def inference_dimension_exact(family: Sequence[Vector], d: int) -> bool:

@@ -254,13 +254,10 @@ def _sample_system(sample: SortedSample, family: Family) -> HomogeneousSystem:
             equalities.append(v)
     # sorted neighbours differ by an equality inside a block and by a
     # strict gap from one block to the next
-    lo = None
-    for blk in sample.blocks:
-        for k, p in enumerate(blk):
-            hi = members[p]
-            if lo is not None:
-                (equalities if k else strict).append(hi - lo)
-            lo = hi
+    starts = set(sample.starts)
+    for k in range(1, len(sample.order)):
+        lo, hi = members[sample.order[k - 1]], members[sample.order[k]]
+        (strict if k in starts else equalities).append(hi - lo)
     return HomogeneousSystem(
         family.dim, strict=tuple(strict), equalities=tuple(equalities)
     )

@@ -80,8 +80,3 @@ class SplitMix64:
             picks.append(moved.get(j, j))
             moved[j] = moved.get(i, i)
         return picks
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]

@@ -12,9 +12,8 @@ family per n.  So every encoder but zero-triangles (whose family follows
 the edge set) keeps its recent shapes (_SHAPES, with the memory they
 retain) and hands out the same Family for a repeated shape; only the
 hidden point is built per call.  A shared Family then computes its
-solve bookkeeping once (Family.first_copies).  Meta lists are fresh per
-call and the sumset's compared array is read-only, so no caller can
-change a kept shape.
+solve bookkeeping once (Family.first_copies).  The sumset's compared
+array is read-only, so no caller can change a kept shape.
 
 Brute-force references live here too; they answer the same questions by
 direct enumeration and serve as ground truth everywhere the solver's
@@ -24,6 +23,7 @@ output gets checked.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -56,20 +56,22 @@ KLDT_TUPLE_CAP = 20000
 KSUM_SUBSET_CAP = 1 << 16
 # entries (rows x dim) of one family matrix, 64 MiB at 8 bytes each.  The
 # row caps bound the matrix of every shape but narrow k-SUM and k-LDT,
-# which this caps at 2-SUM n=256, 1-SUM n=2896 and 1-LDT n=2895; the widest
+# which this caps at 2-SUM n=256, 1-SUM n=2896 and 1-LDT n=2895, and
+# zero-triangles, which have no other cap (K_60 is past it); the widest
 # shapes the other caps admit, the 1x256 sumset (8,388,480 entries) and
 # 3-SUM n=73 (4.5 M), stay under it.
 FAMILY_ENTRY_CAP = 1 << 23
 
-# Each encoder keeps the family and meta of its last _SHAPES shapes, so
-# instances of one shape share them.  An entry holds what one instance of
-# its shape allocates anyway: the rows at 8 bytes an entry, the family's
-# first_copies at up to 16 bytes a row and the meta lists.  At the caps
-# an entry takes 9.4 MB for subset-sum n=16, 9.4 MB for a 16x16 sumset
-# (68 MB at 1x256), 42 MB for 3-SUM n=73 and 15 MB for 3-LDT n=28, so the
-# four caches retain at most 4 * _SHAPES such entries: about 540 MB for
-# these shapes.  FAMILY_ENTRY_CAP bounds the wider families a smaller k
-# admits (2-SUM n=256: 70 MB an entry, measured with tracemalloc).
+# Each encoder keeps the family of its last _SHAPES shapes (the sumset's
+# with its compared array), so instances of one shape share them.  An
+# entry holds what one instance of its shape allocates anyway: the rows
+# at 8 bytes an entry and the family's first_copies at up to 16 bytes a
+# row.  At the caps an entry takes 9.4 MB for subset-sum n=16, 9.4 MB for
+# a 16x16 sumset (68 MB at 1x256), 37 MB for 3-SUM n=73 and 14 MB for
+# 3-LDT n=28, so the four caches retain at most 4 * _SHAPES such entries:
+# about 515 MB for these shapes.  FAMILY_ENTRY_CAP bounds the wider
+# families a smaller k admits (2-SUM n=256: 67 MB an entry, measured with
+# tracemalloc).
 _SHAPES = 4
 
 
@@ -81,7 +83,6 @@ class Encoding:
     dim: int
     family: Family
     hidden: Vector
-    answer_kind: str
     meta: dict = field(default_factory=dict)
 
 
@@ -110,25 +111,22 @@ def encode_ksum(values: Sequence[Rational | int], k: int) -> Encoding:
             f"{count} {k}-subsets of {n} values exceed cap {KSUM_SUBSET_CAP}"
         )
     _check_entries(count, n)
-    family, subsets = _ksum_shape(n, k)
     return Encoding(
         kind="ksum",
         dim=n,
-        family=family,
+        family=_ksum_shape(n, k),
         hidden=Vector(vals),
-        answer_kind="decision",
-        meta={"k": k, "subsets": list(subsets)},
+        meta={"k": k},
     )
 
 
 @lru_cache(maxsize=_SHAPES)
-def _ksum_shape(n: int, k: int) -> tuple[Family, tuple[tuple[int, ...], ...]]:
-    subsets = tuple(combinations(range(n), k))
-    count = len(subsets)
-    cols = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=count * k)
+def _ksum_shape(n: int, k: int) -> Family:
+    cols = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
+    count = len(cols) // k
     rows = np.zeros((count, n), dtype=np.int64)
     rows[np.arange(count)[:, None], cols.reshape(count, k)] = 1
-    return Family(rows), subsets
+    return Family(rows)
 
 
 def encode_subset_sum(values: Sequence[Rational | int]) -> Encoding:
@@ -146,7 +144,6 @@ def encode_subset_sum(values: Sequence[Rational | int]) -> Encoding:
         dim=n,
         family=_subset_sum_shape(n),
         hidden=Vector(vals),
-        answer_kind="decision",
     )
 
 
@@ -177,25 +174,22 @@ def encode_sort_sumset(
             "sumset sorting enumerates pair comparisons; "
             f"{na}x{nb} exceeds cap {SUMSET_PAIR_CAP}"
         )
-    family, pairs, compared = _sumset_shape(na, nb)
+    family, compared = _sumset_shape(na, nb)
     return Encoding(
         kind="sortsumset",
         dim=na + nb,
         family=family,
         hidden=Vector(avals + bvals),
-        answer_kind="ordering",
-        meta={"pairs": list(pairs), "compared": compared, "na": na, "nb": nb},
+        meta={"compared": compared, "na": na, "nb": nb},
     )
 
 
 @lru_cache(maxsize=_SHAPES)
-def _sumset_shape(
-    na: int, nb: int
-) -> tuple[Family, tuple[tuple[int, int], ...], np.ndarray]:
-    pairs = tuple((i, j) for i in range(na) for j in range(nb))
-    # one row per pair p < q of pair indices, in combinations order:
-    # (a_i + b_j) - (a_k + b_l) for p = (i, j) and q = (k, l)
-    p, q = np.triu_indices(len(pairs), 1)
+def _sumset_shape(na: int, nb: int) -> tuple[Family, np.ndarray]:
+    # pair index p stands for (i, j) = divmod(p, nb); one row per pair
+    # p < q, in combinations order: (a_i + b_j) - (a_k + b_l) for
+    # p = (i, j) and q = (k, l)
+    p, q = np.triu_indices(na * nb, 1)
     compared = np.stack([p, q], axis=1)
     compared.flags.writeable = False
     rows = np.zeros((len(p), na + nb), dtype=np.int64)
@@ -204,7 +198,7 @@ def _sumset_shape(
     rows[r, q // nb] -= 1
     rows[r, na + p % nb] += 1
     rows[r, na + q % nb] -= 1
-    return Family(rows), pairs, compared
+    return Family(rows), compared
 
 
 def encode_kldt(
@@ -233,19 +227,17 @@ def encode_kldt(
     hidden = [alph[0]]
     for t in range(1, k + 1):
         hidden.extend(alph[t] * a for a in vals)
-    family, tuples = _kldt_shape(n, k)
     return Encoding(
         kind="kldt",
         dim=dim,
-        family=family,
+        family=_kldt_shape(n, k),
         hidden=Vector(hidden),
-        answer_kind="decision",
-        meta={"k": k, "n": n, "tuples": list(tuples)},
+        meta={"k": k, "n": n},
     )
 
 
 @lru_cache(maxsize=_SHAPES)
-def _kldt_shape(n: int, k: int) -> tuple[Family, tuple[tuple[int, ...], ...]]:
+def _kldt_shape(n: int, k: int) -> Family:
     tuples = tuple(permutations(range(n), k))
     rows = np.zeros((len(tuples), 1 + n * k), dtype=np.int64)
     rows[:, 0] = 1
@@ -253,7 +245,7 @@ def _kldt_shape(n: int, k: int) -> tuple[Family, tuple[tuple[int, ...], ...]]:
         # slot t of index j sits at 1 + t * n + j
         slots = 1 + np.arange(k) * n + np.array(tuples)
         rows[np.arange(len(tuples))[:, None], slots] = 1
-    return Family(rows), tuples
+    return Family(rows)
 
 
 def encode_zero_triangles(
@@ -276,26 +268,29 @@ def encode_zero_triangles(
             raise InstanceFormatError(f"duplicate edge {key}")
         index[key] = len(weights)
         weights.append(Fraction(wt))
-    edge_ids = []
-    triangles = []
-    for u, v, w in combinations(range(1, n_vertices + 1), 3):
-        e1 = index.get((u, v))
-        e2 = index.get((u, w))
-        e3 = index.get((v, w))
-        if e1 is None or e2 is None or e3 is None:
-            continue
-        edge_ids.append((e1, e2, e3))
-        triangles.append((u, v, w))
-    rows = np.zeros((len(edge_ids), len(weights)), dtype=np.int64)
+    # upper[u] holds u's neighbours above u: the triangles u < v < w on
+    # the edge (u, v) are the common upper neighbours w of u and v, so
+    # one set intersection per edge counts them, then lists them in
+    # (u, v, w) order, and no loop runs over the vertex triples
+    upper: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in index:
+        upper[u].add(v)
+    ordered = sorted(index)
+    count = sum(len(upper[u] & upper[v]) for u, v in ordered)
+    _check_entries(count, len(weights))
+    edge_ids = [
+        (index[(u, v)], index[(u, w)], index[(v, w)])
+        for u, v in ordered
+        for w in sorted(upper[u] & upper[v])
+    ]
+    rows = np.zeros((count, len(weights)), dtype=np.int64)
     if edge_ids:
-        rows[np.arange(len(edge_ids))[:, None], np.array(edge_ids)] = 1
+        rows[np.arange(count)[:, None], np.array(edge_ids)] = 1
     return Encoding(
         kind="triangles",
         dim=len(weights),
         family=Family(rows),
         hidden=Vector(weights),
-        answer_kind="decision",
-        meta={"triangles": triangles},
     )
 
 
@@ -307,14 +302,12 @@ def extract_answer(enc: Encoding, pattern: SignVector):
     cross-checks every comparison for consistency first; a pattern no
     point could produce raises instead of returning garbage.
     """
-    if enc.answer_kind == "decision":
+    if enc.kind != "sortsumset":
         return pattern.contains_zero()
-    if enc.answer_kind != "ordering":
-        raise ValueError(f"unknown answer kind {enc.answer_kind!r}")
-    pairs = enc.meta["pairs"]
+    nb = enc.meta["nb"]
     p, q = enc.meta["compared"].T
     signs = pattern.prefix(len(enc.family))
-    m = len(pairs)
+    m = enc.meta["na"] * nb
     # cmp[p, q] is the sign of sum_p - sum_q
     cmp = np.zeros((m, m), dtype=np.int8)
     cmp[p, q] = signs
@@ -332,7 +325,7 @@ def extract_answer(enc: Encoding, pattern: SignVector):
     if not np.array_equal(cmp[np.ix_(order, order)], want):
         raise InconsistentPatternError("pattern orders the pairwise sums inconsistently")
     return [
-        sorted((pairs[i][0] + 1, pairs[i][1] + 1) for i in g.tolist())
+        sorted((i + 1, j + 1) for i, j in (divmod(p, nb) for p in g.tolist()))
         for g in np.split(order, starts)
     ]
 

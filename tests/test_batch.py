@@ -1,18 +1,19 @@
 """The batched inference engine must agree with the one-at-a-time
 rational simplex route (lp.infer_sign) on every hyperplane: same inferred signs, same
 undetermined set, across random cells.  Its integer cell must equal
-the one built vector by vector, its numpy proposers (the pool program
-and the NNLS) are checked against scipy where it is installed, and
-every pool point must be exactly interior.  Below the ray cap the
-extreme rays decide a cell completely, so there the engine must equal
-the rational route row for row, and on solved cells the rays and the
-tiers must give the same verdicts."""
+the one built vector by vector, its numpy proposers (the interior-point
+program and the NNLS) are checked against scipy where it is installed,
+and every interior point must be exact.  Any other exact interior point
+must give the same decisions.  Below the ray cap the extreme rays
+decide a cell completely, so there the engine must equal the rational
+route row for row, and on solved cells the rays and the tiers must give
+the same verdicts."""
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +39,11 @@ from ldt.problems import (
     random_sumset_instance,
     random_triangles_instance,
 )
-from ldt.intlin import generator_matrix
+from ldt.intlin import exact_product, generator_matrix
 from ldt.prng import SplitMix64
 from ldt.solver import SolveConfig, solve
 
+from test_acceptance import _negative_ksum
 from test_intlin import (
     cone_member_reference,
     cones,
@@ -81,7 +83,8 @@ def _chain_cell_reference(sample, rows):
     (n_red, z, kernel basis columns or None, reps, chain)."""
     dim = rows.shape[1]
     vecs = [tuple(r) for r in rows.tolist()]
-    blocks = sample.blocks
+    bounds = sample.starts + [len(sample.order)]
+    blocks = [sample.order[a:b] for a, b in zip(bounds, bounds[1:])]
     blabels = [sample.labels[blk[0]] for blk in blocks]
     zero_blocks = [i for i, lab in enumerate(blabels) if lab is Sign.ZERO]
     origin = (0,) * dim
@@ -155,7 +158,7 @@ def test_chain_cell_matches_the_vector_by_vector_reference():
         assert cc.chain.tolist() == [list(c) for c in chain]
         assert cc.chain_t.shape == (n_red, len(chain))
         assert cc.order.tolist() == _as_matrix(_reach_reference(cc.reps))
-        seen["ties"] += any(len(blk) > 1 for blk in sample.blocks)
+        seen["ties"] += len(sample.starts) < len(sample.order)
         seen["zero block"] += Sign.ZERO in sample.labels
         seen["no equalities"] += kb is None
         seen["huge"] += rows.dtype == object
@@ -291,7 +294,7 @@ def test_ray_decision_matches_the_simplex_route(case):
 
     generators = batch.cone_generators
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(batch, "_build_pool", forbidden)
+        mp.setattr(batch, "_interior_point", forbidden)
         # however few rows there are to decide, the rays decide them
         mp.setattr(batch, "cone_generators", lambda C, limit: generators(C, 1 << 30))
         out = infer_set(cell, live, family)
@@ -309,7 +312,7 @@ def test_a_cell_without_interior_raises_typed_error():
     # the negated gap b - a, so the closed cell y1 >= 0, y2 >= y1,
     # y1 >= y2 is a single ray and no point lies strictly inside it
     members = [Vector([1, 0]), Vector([0, 1]), Vector([2, -1])]
-    sample = SortedSample([0, 1, 2], [P, P, P], [[0], [1], [2]])
+    sample = SortedSample([0, 1, 2], [P, P, P], [0, 1, 2], [0, 1, 2])
     family, live, cell = _with_members(sample, members, [Vector([1, 1]), Vector([1, -1])])
     assert cell.n_red == 2 and len(cell.chain) == 3
     with pytest.raises(InconsistentSampleError):
@@ -358,7 +361,7 @@ def test_rays_and_tiers_agree_on_solved_cells(kind, monkeypatch):
         monkeypatch.setattr(batch, "_RAY_DIM", 0)
         tiers = decide(cc, H)
         monkeypatch.undo()
-        monkeypatch.setattr(batch, "_build_pool", forbidden)
+        monkeypatch.setattr(batch, "_interior_point", forbidden)
         monkeypatch.setattr(batch, "cone_generators", lambda C, limit: generators(C, 1 << 30))
         rays = decide(cc, H)
         monkeypatch.undo()
@@ -483,13 +486,9 @@ P, Z, M = Sign.PLUS, Sign.ZERO, Sign.MINUS
 def test_contradictory_answers_raise_typed_error(vectors, labels, gaps):
     # members in the given order, gaps[i] the sign between members i
     # and i + 1: ZERO extends a block, PLUS starts the next
-    blocks = [[0]]
-    for p, gap in enumerate(gaps, start=1):
-        if gap is Z:
-            blocks[-1].append(p)
-        else:
-            blocks.append([p])
-    sample = SortedSample(list(range(len(vectors))), labels, blocks)
+    starts = [0] + [p for p, gap in enumerate(gaps, start=1) if gap is not Z]
+    members = list(range(len(vectors)))
+    sample = SortedSample(members, labels, members, starts)
     with pytest.raises(InconsistentSampleError):
         _with_members(sample, map(Vector, vectors), [Vector([1, 1])])
 
@@ -776,10 +775,10 @@ def _cell_of_chain(chain, dim=None):
     return batch.ChainCell(None, reps, 0, chain)
 
 
-def _exact_interior(C, Y):
-    """Every column of Y strictly inside every row of C, in exact integers."""
-    products = np.array(C, dtype=object) @ np.array(Y, dtype=object)
-    return all(int(v) > 0 for v in products.ravel())
+def _exact_interior(C, y):
+    """The point y strictly inside every row of C, in exact integers."""
+    products = np.array(C, dtype=object) @ np.array(y, dtype=object)
+    return all(int(v) > 0 for v in products)
 
 
 POOL_CASES = {
@@ -803,18 +802,19 @@ POOL_CASES = {
 
 @pytest.mark.parametrize("kind", sorted(POOL_CASES))
 def test_pool_points_are_exactly_interior_on_solved_cells(kind, monkeypatch):
-    # the tiers decide only cells above the ray cap
+    # the tiers decide only cells above the ray cap; a cell with no
+    # chain rows gets no point, and every other one an exact one
     monkeypatch.setattr(batch, "_RAY_DIM", 0)
     make, sample_constant = POOL_CASES[kind]
     cells = []
-    build = batch._build_pool
+    interior_point = batch._interior_point
 
-    def recording_pool(cc):
-        Y = build(cc)
-        cells.append((cc.chain, Y))
-        return Y
+    def recording(cc):
+        y = interior_point(cc)
+        cells.append((cc.chain, y))
+        return y
 
-    monkeypatch.setattr(batch, "_build_pool", recording_pool)
+    monkeypatch.setattr(batch, "_interior_point", recording)
     enc = make(SplitMix64(3))
     report = solve(
         enc.family,
@@ -822,9 +822,11 @@ def test_pool_points_are_exactly_interior_on_solved_cells(kind, monkeypatch):
         SolveConfig(seed=3, sample_constant=Fraction(sample_constant)),
     )
     assert cells
-    for C, Y in cells:
-        assert Y.shape[1] >= 1
-        assert _exact_interior(C, Y)
+    for C, y in cells:
+        if not len(C):
+            assert y is None
+        else:
+            assert y is not None and _exact_interior(C, y)
     truth = ground_truth_pattern(enc.family, enc.hidden)
     assert all(report.pattern[i] is truth[i] for i in range(len(enc.family)))
 
@@ -843,24 +845,22 @@ def test_pool_points_are_exactly_interior_on_solved_cells(kind, monkeypatch):
 )
 def test_pool_of_a_thin_cell_near_two_to_the_thirty(chain):
     # each pair of rows leaves a wedge of relative width 2^-30
-    Y = batch._build_pool(_cell_of_chain(chain))
-    assert Y.shape[1] >= 1
-    assert _exact_interior(chain, Y)
+    y = batch._interior_point(_cell_of_chain(chain))
+    assert y is not None and _exact_interior(chain, y)
 
 
 def test_pool_of_a_cell_too_thin_for_the_first_rounding():
     # the interior holds (1, 1, 0), but the barrier point has margin
     # about 8e-10, so a fixed scale such as 2^20 rounds it to a point
-    # outside; the pool's scale, past sqrt(3) / margin, lands inside
+    # outside; the point's scale, past sqrt(3) / margin, lands inside
     chain = [[(1 << 30) + 7, -(1 << 30), 3], [-(1 << 30) + 1, 1 << 30, -2], [1, 1, 1]]
     cc = _cell_of_chain(chain)
     C = cc.chain_t.T
     y, margin = batch.linprog(C / np.linalg.norm(C, axis=1)[:, None])
     assert 0 < margin < 1e-8
-    assert not _exact_interior(chain, np.rint(y * 2.0 ** 20).astype(np.int64)[:, None])
-    Y = batch._build_pool(cc)
-    assert Y.shape[1] >= 1
-    assert _exact_interior(chain, Y)
+    assert not _exact_interior(chain, np.rint(y * 2.0 ** 20).astype(np.int64))
+    point = batch._interior_point(cc)
+    assert point is not None and _exact_interior(chain, point)
 
 
 def test_pool_program_margin_is_near_optimal():
@@ -894,7 +894,8 @@ def test_pool_program_margin_is_near_optimal():
 def _tie_free_ksum_cell():
     """A wide-bound negative 3-SUM n=24 cell (no equalities, so every
     row is 0/1 of weight 3), its live rows and their true signs, the
-    pool screen, and the flags and signs _fast_uniform_certs sets."""
+    candidate signs at its interior point, and the candidates and signs
+    _fast_uniform_certs leaves."""
     rng = SplitMix64(0)
     while True:
         vals = random_ksum_instance(rng, 24, 3, False, bound=10 * 24**3)
@@ -908,22 +909,23 @@ def _tie_free_ksum_cell():
     assert cc.KB is None and cc.n_red == 24
     live = np.setdiff1d(np.arange(len(family)), ids)
     H = family.rows[live]
-    D = H @ batch._build_pool(cc)
-    cand_plus, cand_minus = (D > 0).all(axis=1), (D < 0).all(axis=1)
-    settled = np.zeros(len(H), dtype=bool)
+    screened = np.sign(H @ batch._interior_point(cc)).astype(np.int8)
+    cand = screened.copy()
     signs = np.zeros(len(H), dtype=np.int8)
-    assert batch._fast_uniform_certs(cc, H, cand_plus, cand_minus, settled, signs)
+    assert batch._fast_uniform_certs(cc, H, cand, signs)
     truth = ground_truth_pattern(family, enc.hidden)
-    return cc, H, [truth[i] for i in live], cand_plus, cand_minus, settled, signs
+    return cc, H, [truth[i] for i in live], screened, cand, signs
 
 
 def test_fast_uniform_tier_only_speeds_up_the_anchored_one():
     # each row the fast tier settles must also be certified by
     # _anchored_cert, from its own side's anchors, with the same sign,
     # and that sign must be the true one
-    cc, H, truth, _, _, settled, signs = _tie_free_ksum_cell()
-    assert (signs[settled] == 1).sum() > 500 and (signs[settled] == -1).sum() > 500
-    assert not signs[~settled].any()
+    cc, H, truth, screened, cand, signs = _tie_free_ksum_cell()
+    settled = signs != 0
+    assert (signs == 1).sum() > 500 and (signs == -1).sum() > 500
+    assert not cand[settled].any()
+    assert np.array_equal(cand[~settled], screened[~settled])
     order = cc.order.tolist()
     for i in np.flatnonzero(settled):
         flip = int(signs[i])
@@ -936,18 +938,18 @@ def test_fast_uniform_tier_finds_every_anchored_certificate():
     # the converse: in this cell every anchor is 0/1 of weight 3 too, so
     # each row _anchored_cert certifies, grounded on zero or from a
     # (row, anchor) pair, the fast tier settles with the same sign
-    cc, H, _, cand_plus, cand_minus, settled, signs = _tie_free_ksum_cell()
+    cc, H, _, screened, cand, signs = _tie_free_ksum_cell()
     for anchors in (np.array(cc.above), -np.array(cc.below)):
         assert np.isin(anchors, (0, 1)).all() and (anchors.sum(axis=1) == 3).all()
     order = cc.order.tolist()
     certified = 0
-    for i in np.flatnonzero(cand_plus | cand_minus):
-        flip = 1 if cand_plus[i] else -1
+    for i in np.flatnonzero(screened):
+        flip = int(screened[i])
         anchors = cc.above if flip > 0 else cc.below
         if batch._anchored_cert((H[i] * flip).tolist(), anchors, order):
             certified += 1
-            assert settled[i] and signs[i] == flip
-    assert certified == settled.sum() > 1000
+            assert signs[i] == flip and not cand[i]
+    assert certified == np.count_nonzero(signs) > 1000
 
 
 @pytest.mark.parametrize("side", [1, -1])
@@ -961,11 +963,10 @@ def test_fast_uniform_tier_grounds_rows_on_the_origin(side, monkeypatch):
     family = Family.of([Vector(r) for r in rows])
     oracle = HiddenPointOracle(Vector([side * v for v in (1, 2, 4, 8)]))
     cc = cell_from_sample(build_sorted_sample(range(3), family, oracle), family)
-    plus = np.array([side > 0])
-    settled = np.zeros(1, dtype=bool)
+    cand = np.array([side], dtype=np.int8)
     signs = np.zeros(1, dtype=np.int8)
-    assert batch._fast_uniform_certs(cc, family.rows[3:], plus, ~plus, settled, signs)
-    assert settled[0] and signs[0] == side
+    assert batch._fast_uniform_certs(cc, family.rows[3:], cand, signs)
+    assert signs[0] == side and not cand[0]
 
 
 def test_anchored_cert_never_runs_in_a_uniform_cell(monkeypatch):
@@ -1025,3 +1026,85 @@ def test_zero_labelled_members_spanning_the_space_leave_no_dimension():
     out = infer_set(cell, live, family)
     assert [out.inferred[i] for i in live] == [Sign.ZERO, Sign.ZERO]
     assert not out.undetermined.size
+
+
+def _second_interior_point(C, H, y):
+    """An exact interior point of the cell {x : C x > 0} other than y:
+    y pushed along a signed unit vector as far as doubling keeps it
+    inside, the first such push that changes the sign of a row of H,
+    else K y + e_0 with K past every |C| entry."""
+    for j, step in product(range(len(y)), (1, -1)):
+        point = None
+        while abs(step) < 1 << 20:
+            pushed = y.copy()
+            pushed[j] += step
+            if not (C @ pushed > 0).all():
+                break
+            point, step = pushed, 2 * step
+        if point is not None and (np.sign(H @ point) != np.sign(H @ y)).any():
+            return point
+    point = (1 + int(np.abs(C).max())) * y
+    point[0] += 1
+    return point
+
+
+def test_decisions_do_not_depend_on_the_interior_point(monkeypatch):
+    # only a row the cell determines has one sign at every interior
+    # point, and every certificate is exact, so a second exact interior
+    # point leaves every sign and the settled mask as they were; on the
+    # cells above the ray cap of C5's first 3-SUM n=16 draws at c=1/2,
+    # the second point screens some rows differently
+    cells = []
+    decide = batch._decide_rows
+
+    def recording(cc, H):
+        if cc.n_red > batch._RAY_DIM:
+            cells.append((cc, H))
+        return decide(cc, H)
+
+    monkeypatch.setattr(batch, "_decide_rows", recording)
+    rng = SplitMix64(5516)
+    for trial in range(4):
+        if trial % 2 == 0:
+            vals = random_ksum_instance(rng, 16, 3, True)
+        else:
+            vals = _negative_ksum(rng, 16, 3)
+        enc = encode_ksum(vals, 3)
+        config = SolveConfig(seed=trial, sample_constant=Fraction(1, 2))
+        solve(enc.family, HiddenPointOracle(enc.hidden), config)
+    monkeypatch.undo()
+    assert len(cells) >= 4
+    rescreened = 0
+    for cc, H in cells:
+        first = decide(cc, H)
+        y = batch._interior_point(cc)
+        Hred = H if cc.KB is None else exact_product(H, cc.KB)
+        other = _second_interior_point(cc.chain, Hred, y)
+        assert _exact_interior(cc.chain, other)
+        rescreened += (np.sign(Hred @ other) != np.sign(Hred @ y)).any()
+        monkeypatch.setattr(batch, "_interior_point", lambda cc: other)
+        second = decide(cc, H)
+        monkeypatch.undo()
+        assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+    assert rescreened >= 3
+
+
+def test_a_cell_without_chain_rows_leaves_every_nonzero_row_open(monkeypatch):
+    # one zero-labelled member leaves a reduced space above the ray cap
+    # and no chain rows: the cell is that whole space, where every
+    # nonzero row takes both signs, so no float program runs
+    def forbidden(A):
+        raise AssertionError("a cell with no chain rows needs no interior point")
+
+    monkeypatch.setattr(batch, "linprog", forbidden)
+    dim = batch._RAY_DIM + 2
+    unit = [1] + [0] * (dim - 1)
+    members = [Vector(unit)]
+    oracle = HiddenPointOracle(Vector([0] + list(range(1, dim))))
+    sample = build_sorted_sample([0], Family.of(members), oracle)
+    targets = [Vector([5 * u for u in unit]), Vector([0, 1] + [0] * (dim - 2)), Vector([1] * dim)]
+    family, live, cell = _with_members(sample, members, targets)
+    assert cell.n_red == dim - 1 > batch._RAY_DIM and not len(cell.chain)
+    out = infer_set(cell, live, family)
+    assert out.inferred.get(live[0]) is Sign.ZERO
+    assert out.undetermined.tolist() == live[1:]

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -121,6 +122,22 @@ def test_entry_cap_exit_code(tmp_path, capsys):
     p.write_text(" ".join(str(v) for v in range(3000)) + "\n")
     assert main(["solve", "ksum", "--input", str(p), "--k", "1"]) == 3
     assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_triangle_files_are_refused_or_solved_by_their_triangle_count(tmp_path, capsys):
+    # K_60 has 34,220 triangles over 1,770 edges, past the entry cap; a
+    # graph of 100,000 vertices and no edge has none and solves at once
+    p = tmp_path / "k60.txt"
+    p.write_text("60\n" + "".join(f"{u} {v} 1\n" for u in range(1, 61) for v in range(u + 1, 61)))
+    assert main(["solve", "triangles", "--input", str(p)]) == 3
+    assert "34220 x 1770" in capsys.readouterr().err
+    p = tmp_path / "edgeless.txt"
+    p.write_text("100000\n")
+    start = time.perf_counter()
+    assert main(["solve", "triangles", "--input", str(p), "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert out["answer"] is False and out["family_size"] == 0
 
 
 def test_kldt_k_mismatch(tmp_path, capsys):

@@ -36,8 +36,8 @@ def test_sign_of():
 
 
 def test_sign_flipped_and_char():
-    assert Sign.PLUS.flipped() is Sign.MINUS
-    assert Sign.ZERO.flipped() is Sign.ZERO
+    assert Sign(-Sign.PLUS) is Sign.MINUS
+    assert Sign(-Sign.ZERO) is Sign.ZERO
     assert Sign.MINUS.char == "-"
 
 

@@ -1,7 +1,9 @@
+import gc
 import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 
 from ldt.batch import cell_from_sample, infer_set
 from ldt.geometry import Family, Sign, SignVector, Vector, sign_of
@@ -20,7 +22,7 @@ def test_sorted_sample_frozen_units():
     # secret (2,1,1): values 2,1,1 -> sorted e2,e3,e1 with gaps (0, +)
     sample, _, oracle = _sample([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 1, 1))
     assert sample.labels == [Sign.PLUS, Sign.PLUS, Sign.PLUS]
-    assert sample.blocks == [[1, 2], [0]]
+    assert (sample.order, sample.starts) == ([1, 2, 0], [0, 2])
     # 3 labels, and the sort plus gaps fit the merge budget
     assert oracle.ledger.label_count == 3
     assert oracle.ledger.comparison_count <= 6
@@ -30,11 +32,26 @@ def test_sorted_sample_comparison_budget():
     secret = tuple(range(1, 18))
     vecs = [tuple(1 if j == i else 0 for j in range(17)) for i in range(17)]
     sample, _, oracle = _sample(vecs, secret)
-    order = [p for blk in sample.blocks for p in blk]
-    assert [sample.ids[p] for p in order] == list(range(17))
+    assert [sample.ids[p] for p in sample.order] == list(range(17))
     budget = 17 * math.ceil(math.log2(17)) + 16
     assert oracle.ledger.comparison_count <= budget
 
+
+def test_sorted_sample_allocates_no_container_per_member():
+    # every live container counts toward the cyclic collector's
+    # thresholds, so a list per member would set off collections, and
+    # now and then a full one, inside the solves that sort large samples
+    family = Family(np.array([[i - 300, 1] for i in range(600)]))
+    oracle = HiddenPointOracle(Vector([1, 0]))
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        sample = build_sorted_sample(range(600), family, oracle)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert sample.order == list(range(600)) and len(sample.starts) == 600
+    assert grown < 50
 
 def _reference_sort(values):
     """Stable merge sort of the whole sample by (value, position), with
@@ -65,12 +82,14 @@ def _reference_sort(values):
     return order, gaps
 
 
-def _order_and_gaps(blocks):
-    """The blocks flattened to one sorted order, with the gap signs of
-    sorted neighbours: ZERO inside a block, PLUS between blocks."""
-    order = [p for blk in blocks for p in blk]
-    gaps = [Sign.ZERO if k else Sign.PLUS for blk in blocks for k in range(len(blk))]
-    return order, gaps[1:]
+def _order_and_gaps(sample):
+    """The sample's sorted order, with the gap signs of sorted
+    neighbours: ZERO inside a block, PLUS where the next block starts."""
+    starts = set(sample.starts)
+    assert sample.starts == sorted(starts)
+    assert sample.starts[:1] == ([0] if sample.order else [])
+    gaps = [Sign.PLUS if k in starts else Sign.ZERO for k in range(len(sample.order))]
+    return sample.order, gaps[1:]
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,7 +123,7 @@ def test_block_sort_matches_stable_sort(dim, value_range, size, data):
     sample = build_sorted_sample(ids, family, oracle)
 
     assert sample.labels == [sign_of(v) for v in values]
-    assert _order_and_gaps(sample.blocks) == _reference_sort(values)
+    assert _order_and_gaps(sample) == _reference_sort(values)
     assert sample.ids == ids
     label_of = dict(zip(ids, sample.labels))
     pairs = [e["ids"] for e in oracle.ledger.log if e["kind"] == "cmp"]
