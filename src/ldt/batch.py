@@ -73,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Family, Sign, SignVector
+from .geometry import Family
 from .inference import InconsistentSampleError, InferenceOutcome, SortedSample
 from .intlin import (
     cone_generators,
@@ -155,14 +155,14 @@ def cell_from_sample(sample: SortedSample, family: Family) -> ChainCell:
     order = np.asarray(sample.order, dtype=np.intp)
     starts = np.asarray(sample.starts, dtype=np.intp)
     # the labels and block number of each member, in sorted order
-    labs = np.array(sample.labels, dtype=np.int8)[order]
+    labs = sample.labels[order]
     first = np.zeros(len(order), dtype=bool)
     first[starts] = True
     block = np.cumsum(first) - 1
     blabels = labs[starts]
     if (labs != blabels[block]).any():
         raise InconsistentSampleError("tied values with differing labels")
-    zero_blocks = np.flatnonzero(blabels == Sign.ZERO)
+    zero_blocks = np.flatnonzero(blabels == 0)
     if len(zero_blocks) > 1:
         raise InconsistentSampleError("zero-labelled members in two separate blocks")
     reps_full = rows[order[starts]]
@@ -178,7 +178,7 @@ def cell_from_sample(sample: SortedSample, family: Family) -> ChainCell:
     if z >= 0:
         reps_full[z] = 0
     else:
-        z = int((blabels == Sign.MINUS).sum())
+        z = int((blabels < 0).sum())
         reps_full = np.insert(reps_full, z, 0, axis=0)
 
     if len(e_rows):
@@ -594,14 +594,14 @@ def _fast_uniform_certs(
 def infer_set(cell: ChainCell, live: Sequence[int], family: Family) -> InferenceOutcome:
     """Decide every row of family indexed by live against the cell.
 
-    family is the one the cell was built from.  Sample members keep
-    their queried labels; the tiers decide the rest.
+    family is the one the cell was built from, and live ascends.
+    Sample members keep their queried labels; the tiers decide the rest.
     """
     sample = cell.sample
     live = np.asarray(live, dtype=np.intp)
     # 2 marks the rows outside the sample
     queried = np.full(len(family), 2, dtype=np.int8)
-    queried[sample.ids] = [int(lab) for lab in sample.labels]
+    queried[sample.ids] = sample.labels
     signs = queried[live]
     done = signs != 2
     rest = np.flatnonzero(~done)
@@ -609,9 +609,7 @@ def infer_set(cell: ChainCell, live: Sequence[int], family: Family) -> Inference
         rest_signs, rest_done = _decide_rows(cell, family.rows[live[rest]])
         signs[rest] = rest_signs
         done[rest] = rest_done
-    return InferenceOutcome(
-        SignVector.from_arrays(live[done], signs[done]), live[~done]
-    )
+    return InferenceOutcome(live[done], signs[done], live[~done])
 
 
 def _ray_signs(cc: ChainCell, H: np.ndarray) -> np.ndarray | None:

@@ -13,7 +13,7 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-from .geometry import parse_rational
+from .geometry import SignVector, Vector, parse_rational
 from .lab import (
     check_ordering_count,
     cone_certificate,
@@ -46,7 +46,6 @@ from .problems import (
     random_subset_sum_instance,
 )
 from .prng import SplitMix64
-from .geometry import Vector
 from .solver import SolveConfig, solve
 
 SCHEMA = 1
@@ -81,7 +80,6 @@ def _encode_from_args(args: argparse.Namespace) -> Encoding:
                 f"--k {args.k} disagrees with {enc.meta['k']} coefficients"
             )
         return enc
-    assert args.problem == "triangles"
     n, edges = parse_triangle_instance(text)
     return encode_zero_triangles(n, edges)
 
@@ -105,9 +103,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         sample_constant=parse_rational(args.sample_constant),
     )
     start = time.perf_counter()
-    # nothing to compare means nothing can vanish
+    # an empty family has the empty pattern: nothing vanishes, and a
+    # single pairwise sum is one group
     report = solve(enc.family, oracle, config) if enc.family else None
-    answer = extract_answer(enc, report.pattern) if report else False
+    pattern = report.pattern if report else SignVector.from_arrays([], [])
+    answer = extract_answer(enc, pattern)
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     if args.log_queries is not None:

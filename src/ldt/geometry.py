@@ -71,47 +71,34 @@ def sign_of(q: Rational | int) -> Sign:
 class Vector:
     """Immutable rational vector.
 
-    An all-integer vector is stored as a plain int tuple and only grows
-    a Fraction view on demand, so the hot paths (inner products,
-    differences, dedup keys) never leave machine integers.
+    coords holds each coordinate exactly: an int where it is integral,
+    a Fraction otherwise.  Python mixes the two exactly, so every
+    operation has one path.
     """
 
-    __slots__ = ("_coords", "ints")
+    __slots__ = ("coords",)
 
-    ints: tuple[int, ...] | None
+    coords: tuple[Rational | int, ...]
 
     def __init__(self, coords: Iterable[Rational | int]) -> None:
         cs = coords if type(coords) is tuple else tuple(coords)
-        if all(type(c) is int for c in cs):
-            object.__setattr__(self, "ints", cs)
-            object.__setattr__(self, "_coords", None)
-            return
-        fr = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in cs)
-        object.__setattr__(self, "_coords", fr)
-        if all(c.denominator == 1 for c in fr):
-            object.__setattr__(self, "ints", tuple(c.numerator for c in fr))
-        else:
-            object.__setattr__(self, "ints", None)
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        cs = self._coords
-        if cs is None:
-            cs = tuple(Fraction(i) for i in self.ints)
-            object.__setattr__(self, "_coords", cs)
-        return cs
+        if not all(type(c) is int for c in cs):
+            fr = (c if isinstance(c, Fraction) else Fraction(c) for c in cs)
+            cs = tuple(c.numerator if c.denominator == 1 else c for c in fr)
+        object.__setattr__(self, "coords", cs)
 
     @classmethod
     def _of_ints(cls, ints: tuple[int, ...]) -> "Vector":
         """The Vector of a tuple of Python ints, taken as it is."""
         v = object.__new__(cls)
-        object.__setattr__(v, "ints", ints)
-        object.__setattr__(v, "_coords", None)
+        object.__setattr__(v, "coords", ints)
         return v
 
-    def _key(self) -> tuple:
-        ints = self.ints
-        return ints if ints is not None else self._coords
+    @property
+    def ints(self) -> tuple[int, ...] | None:
+        """The coordinates when every one is an integer, else None."""
+        cs = self.coords
+        return cs if all(type(c) is int for c in cs) else None
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Vector is immutable")
@@ -122,73 +109,47 @@ class Vector:
 
     @property
     def dim(self) -> int:
-        return len(self._key())
+        return len(self.coords)
 
     def dot(self, other: "Vector") -> Rational:
         if len(self) != len(other):
             raise ValueError(
                 f"dimension mismatch: {len(self)} vs {len(other)}"
             )
-        a, b = self.ints, other.ints
-        if a is not None and b is not None:
-            total = 0
-            for u, v in zip(a, b):
-                if u and v:
-                    total += u * v
-            return Fraction(total)
-        acc = Fraction(0)
+        total = 0
         for u, v in zip(self.coords, other.coords):
             if u and v:
-                acc += u * v
-        return acc
+                total += u * v
+        return Fraction(total)
 
     def __add__(self, other: "Vector") -> "Vector":
-        a, b = self.ints, other.ints
-        if a is not None and b is not None:
-            if len(a) != len(b):
-                raise ValueError("dimension mismatch")
-            return Vector(tuple(u + v for u, v in zip(a, b)))
-        return Vector(u + v for u, v in zip(self.coords, other.coords, strict=True))
+        return Vector(tuple(u + v for u, v in zip(self.coords, other.coords, strict=True)))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        a, b = self.ints, other.ints
-        if a is not None and b is not None:
-            if len(a) != len(b):
-                raise ValueError("dimension mismatch")
-            return Vector(tuple(u - v for u, v in zip(a, b)))
-        return Vector(u - v for u, v in zip(self.coords, other.coords, strict=True))
+        return Vector(tuple(u - v for u, v in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> "Vector":
-        a = self.ints
-        if a is not None:
-            return Vector(tuple(-u for u in a))
-        return Vector(-u for u in self.coords)
+        return Vector(tuple(-u for u in self.coords))
 
     def scaled(self, q: Rational | int) -> "Vector":
-        a = self.ints
-        if a is not None and type(q) is int:
-            return Vector(tuple(u * q for u in a))
-        return Vector(u * q for u in self.coords)
+        return Vector(tuple(u * q for u in self.coords))
 
     def is_zero(self) -> bool:
-        a = self.ints
-        if a is not None:
-            return not any(a)
-        return not any(self._coords)
+        return not any(self.coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
-        return self._key() == other._key()
+        return self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.coords)
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator[Rational | int]:
         return iter(self.coords)
 
     def __len__(self) -> int:
-        return len(self._key())
+        return len(self.coords)
 
     def __str__(self) -> str:
         return " ".join(format_rational(c) for c in self.coords)

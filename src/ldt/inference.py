@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Family, Sign, SignVector
+from .geometry import Family
 # no code here calls feasible: the traced benchmark patches this binding
 # (its lp.feasible hook) and reads 0 calls from it
 from .lp import feasible  # noqa: F401
@@ -27,7 +27,8 @@ class SortedSample:
     """Labels and sorted order of a queried sample.
 
     ids holds the members' row indices into the family they were drawn
-    from, in sample order; labels align with ids.  order lists the
+    from, in sample order; labels align with ids, one int8 array of
+    -1, 0 and 1 as the oracle answered them.  order lists the
     member positions by increasing inner product with the hidden point,
     and starts the indices into order where each equal-value block
     begins, ascending from 0: members of one block tie, each block
@@ -37,7 +38,7 @@ class SortedSample:
     """
 
     ids: list[int]
-    labels: list[Sign]
+    labels: np.ndarray
     order: list[int]
     starts: list[int]
 
@@ -56,8 +57,8 @@ def build_sorted_sample(
     The oracle answers about the rows by index (query_rows), and the
     returned sample names its members by the same indices, so neither
     the queries nor the sample need a Vector.  Labels order the classes
-    MINUS < ZERO < PLUS and make the ZERO class one tie, so only MINUS
-    and PLUS are sorted: a stable merge sort over equal-value blocks
+    -1 < 0 < 1 and make the 0 class one tie, so only the -1 and 1
+    classes are sorted: a stable merge sort over equal-value blocks
     that compares two block heads once and fuses them on a tie.  No pair
     is compared twice or across labels, a member that joined a block is
     never compared again, and a class of c members costs at most
@@ -65,7 +66,6 @@ def build_sorted_sample(
     """
     ids = list(ids)
     labels, compare = oracle.query_rows(family, ids)
-    minus, plus = Sign.MINUS, Sign.PLUS
     # the sort moves block heads only; tied[h] holds the other members
     # of the block headed by h, so a list is made per tie, not per member
     tied: dict[int, list[int]] = {}
@@ -83,10 +83,10 @@ def build_sorted_sample(
         while i < n_left and j < n_right:
             a, b = left[i], right[j]
             s = compare(a, b)
-            if s is minus:
+            if s < 0:
                 append(a)
                 i += 1
-            elif s is plus:
+            elif s > 0:
                 append(b)
                 j += 1
             else:
@@ -101,15 +101,12 @@ def build_sorted_sample(
         out.extend(right[j:])
         return out
 
-    by_label: dict[Sign, list[int]] = {lab: [] for lab in Sign}
-    for p, lab in enumerate(labels):
-        by_label[lab].append(p)
-    zeros = by_label[Sign.ZERO]
+    minus, zeros, plus = (np.flatnonzero(labels == s).tolist() for s in (-1, 0, 1))
     if zeros:
         tied[zeros[0]] = zeros[1:]
     order: list[int] = []
     starts: list[int] = []
-    for h in merge_sort(by_label[minus]) + zeros[:1] + merge_sort(by_label[plus]):
+    for h in merge_sort(minus) + zeros[:1] + merge_sort(plus):
         starts.append(len(order))
         order.append(h)
         order += tied.get(h, ())
@@ -120,10 +117,13 @@ def build_sorted_sample(
 class InferenceOutcome:
     """Result of inference over a live set of family rows.
 
-    inferred holds the rows whose sign is settled, undetermined the
-    ascending indices of the rows left for direct labels.
+    inferred holds the ascending indices of the rows whose sign is
+    settled and signs their int8 signs (-1, 0, 1), aligned;
+    undetermined holds the ascending indices of the rows left for
+    direct labels.
     """
 
-    inferred: SignVector
+    inferred: np.ndarray
+    signs: np.ndarray
     undetermined: np.ndarray
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
+import numpy as np
+
 from .geometry import Family, Sign, Vector, sign_of
 from .inference import SortedSample
 from .lp import HomogeneousSystem, RationalCell, feasible, infer_sign, interior_witness
@@ -112,6 +114,10 @@ def fm_feasible(system: HomogeneousSystem) -> bool:
             raise RuntimeError("elimination exploded past any sane size")
     cleaned = sweep(rows)
     return cleaned is not None
+
+
+class WitnessError(RuntimeError):
+    """A cell witness does not realise the sign pattern it stands for."""
 
 
 @dataclass
@@ -247,8 +253,8 @@ def _enumerate_exact(family: Sequence[Vector], dim: int) -> CellEnumeration:
                     for j in range(dim)
                 ]
             )
-            for i in range(len(family)):
-                assert sign_of(family[i].dot(lifted)) is full[i]
+            if any(sign_of(h.dot(lifted)) is not s for h, s in zip(family, full)):
+                raise WitnessError(f"lifted witness {lifted} misses its pattern")
             patterns.append(tuple(full))
             witnesses.append(lifted)
     return CellEnumeration(len(patterns), patterns, witnesses, exact=True)
@@ -309,7 +315,7 @@ def sample_at(ids: Sequence[int], family: Family, x: Vector) -> SortedSample:
     """
     ids = list(ids)
     values = [family[i].dot(x) for i in ids]
-    labels = [sign_of(val) for val in values]
+    labels = np.array([(v > 0) - (v < 0) for v in values], dtype=np.int8)
     order = sorted(range(len(ids)), key=values.__getitem__)
     starts = [
         k for k in range(len(order))
@@ -548,6 +554,7 @@ def crosscheck_inference(trials: int, seed: int = 0) -> tuple[int, int]:
         rows = Family.of(family)
         sample = sample_at(range(size), rows, x)
         outcome = infer_set(cell_from_sample(sample, rows), range(m), rows)
+        inferred = dict(zip(outcome.inferred.tolist(), outcome.signs.tolist()))
         ref = RationalCell(sample, rows)
 
         good = True
@@ -566,7 +573,7 @@ def crosscheck_inference(trials: int, seed: int = 0) -> tuple[int, int]:
                 if can
             ]
             expected = achievable[0] if len(achievable) == 1 else None
-            fast = outcome.inferred.get(i)
+            fast = inferred.get(i)
             slow = infer_sign(ref, h)
             if fast != expected or slow != expected:
                 good = False

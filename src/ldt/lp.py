@@ -245,10 +245,10 @@ def _sample_system(sample: SortedSample, family: Family) -> HomogeneousSystem:
     members = [family[i] for i in sample.ids]
     strict: list[Vector] = []
     equalities: list[Vector] = []
-    for v, lab in zip(members, sample.labels):
-        if lab is Sign.PLUS:
+    for v, lab in zip(members, sample.labels.tolist()):
+        if lab > 0:
             strict.append(v)
-        elif lab is Sign.MINUS:
+        elif lab < 0:
             strict.append(-v)
         else:
             equalities.append(v)

@@ -22,11 +22,8 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Family, Sign, Vector
+from .geometry import Family, Vector
 from .intlin import exact_product, generator_matrix
-
-# indexed by (d > 0) - (d < 0): the sign of d
-_SIGN_AT = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
 
 
 @dataclass
@@ -66,12 +63,10 @@ class HiddenPointOracle:
         log_queries: bool = False,
         strict_family: Iterable[Vector] | None = None,
     ) -> None:
-        ints = secret.ints
-        if ints is None:
-            # positive scaling never changes a sign, so clear denominators
-            # once and answer every query with integer arithmetic
-            denom = lcm(*(c.denominator for c in secret.coords))
-            ints = tuple(int(c * denom) for c in secret.coords)
+        # positive scaling never changes a sign, so clear denominators
+        # once and answer every query with integer arithmetic
+        denom = lcm(*(c.denominator for c in secret.coords))
+        ints = tuple(int(c * denom) for c in secret.coords)
         self.dim = len(ints)
         # the scaled secret as one integer column
         self._secret_col = generator_matrix([ints], self.dim)[0]
@@ -80,13 +75,16 @@ class HiddenPointOracle:
 
     def query_rows(
         self, family: Family, ids: Sequence[int]
-    ) -> tuple[list[Sign], Callable[[int, int], Sign]]:
+    ) -> tuple[np.ndarray, Callable[[int, int], int]]:
         """Label the rows of family indexed by ids, in order, and return
         those labels with compare(p, q), the comparison query of rows
         ids[p] and ids[q].
 
-        Each label is logged as {"kind": "label", "answer", "id": i} and
-        each comparison as {"kind": "cmp", "answer", "ids": [i, j]}.
+        The labels are one int8 array of -1, 0 and 1, and compare
+        answers the sign of row ids[p] minus row ids[q] as the int -1,
+        0 or 1.  Each label is logged as {"kind": "label", "answer",
+        "id": i} and each comparison as {"kind": "cmp", "answer", "ids":
+        [i, j]}, the answer as "-", "0" or "+".
         The values of all the rows come from one exact product; a
         family's common denominator scales them by one positive factor,
         which changes no sign.  A family of another dimension, a family
@@ -105,24 +103,25 @@ class HiddenPointOracle:
         at = np.asarray(ids, dtype=np.intp)
         if at.size and not (0 <= at.min() and at.max() < len(family)):
             raise ValueError(f"row ids must lie in 0..{len(family) - 1}")
-        values = exact_product(family.rows[at], self._secret_col).tolist()
-        labels = [_SIGN_AT[(v > 0) - (v < 0)] for v in values]
+        product = exact_product(family.rows[at], self._secret_col)
+        labels = np.sign(product).astype(np.int8)
+        values = product.tolist()
         ledger = self.ledger
         log = ledger.log
         ledger.label_count += len(ids)
         if log is not None:
             log.extend(
-                {"kind": "label", "answer": a.char, "id": i}
-                for i, a in zip(ids, labels)
+                {"kind": "label", "answer": "-0+"[s + 1], "id": i}
+                for i, s in zip(ids, labels.tolist())
             )
 
-        def compare(p: int, q: int) -> Sign:
+        def compare(p: int, q: int) -> int:
             d = values[p] - values[q]
-            answer = _SIGN_AT[(d > 0) - (d < 0)]
+            answer = (d > 0) - (d < 0)
             ledger.comparison_count += 1
             if log is not None:
                 log.append(
-                    {"kind": "cmp", "answer": answer.char, "ids": [ids[p], ids[q]]}
+                    {"kind": "cmp", "answer": "-0+"[answer + 1], "ids": [ids[p], ids[q]]}
                 )
             return answer
 

@@ -18,7 +18,9 @@ duplicate and zero rows (Family.first_copies) and the coordinate bound
 W (Family.top).  The live set is an ascending array of row indices.
 The oracle is asked about rows by index (HiddenPointOracle.query_rows),
 and a round's sorted sample names its members by the same indices, so a
-solve builds no Vector.  A strict oracle checks once per query call
+solve builds no Vector.  Signs stay int8 arrays of -1, 0 and 1 from the
+oracle's answers to the reported pattern, so a solve builds no Sign
+either.  A strict oracle checks once per query call
 that the family is the declared one, so every label it answers is about
 a declared member and every comparison about the difference of two.
 """
@@ -142,10 +144,9 @@ def solve(
         ss = build_sorted_sample(picks, family, oracle)
         cell = cell_from_sample(ss, family)
         outcome = infer_set(cell, live, family)
-        ids, inferred = outcome.inferred.arrays()
-        if not np.isin(picks, ids).all():
+        if not np.isin(picks, outcome.inferred).all():
             raise RuntimeError("inference left a sample member unresolved")
-        signs[ids] = inferred
+        signs[outcome.inferred] = outcome.signs
         live = outcome.undetermined
         now = oracle.ledger.snapshot()
         rounds.append(

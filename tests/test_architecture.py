@@ -73,6 +73,14 @@ def test_lab_is_independent_of_the_batch_engine():
     assert "fm_feasible" in text  # its own elimination, not the simplex
 
 
+def test_package_holds_no_assert_statement():
+    # python -O strips assert statements, so invariants raise typed errors
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
+
+
 NO_SCIPY_RUN = """
 import sys
 from pathlib import Path

@@ -72,6 +72,17 @@ def test_solve_sortab_groups(tmp_path, capsys):
     assert payload["answer"] == [[[1, 1]], [[2, 1]], [[1, 2]], [[2, 2]]]
 
 
+def test_solve_sortab_of_one_pair_is_one_group(tmp_path, capsys):
+    # a 1x1 sumset has no pair to compare, so its family is empty, yet
+    # its single sum still forms one group
+    p = tmp_path / "ab.txt"
+    p.write_text("5\n7\n")
+    assert main(["solve", "sortab", "--input", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["family_size"] == 0
+    assert payload["answer"] == [[[1, 1]]]
+
+
 def test_solve_strict_comparison_mode(ksum_file, capsys):
     assert main(
         ["solve", "ksum", "--input", ksum_file, "--k", "3", "--strict-comparison"]

@@ -49,6 +49,23 @@ def test_vector_integer_fast_path():
     assert v.dot(Vector([1, 1, 1])) == 4
 
 
+def test_vector_holds_one_exact_coordinate_tuple():
+    # an integral Fraction is kept as an int, so a vector equals and
+    # hashes like the same vector given with ints
+    v = Vector([Fraction(4, 2), Fraction(1, 2)])
+    assert v.coords == (2, Fraction(1, 2)) and type(v.coords[0]) is int
+    w = Vector([2, Fraction(1, 2)])
+    assert v == w and hash(v) == hash(w)
+    assert v.ints is None
+    u = Vector([Fraction(6, 3), -1, 0])
+    assert u.ints is u.coords == (2, -1, 0)
+    assert all(type(c) is int for c in u.coords)
+    assert Vector.__slots__ == ("coords",)
+    # mixed sums that come out integral are ints again
+    assert (v + Vector([0, Fraction(1, 2)])).ints == (2, 1)
+    assert type(v.dot(w)) is Fraction and v.dot(w) == Fraction(17, 4)
+
+
 def test_vector_arithmetic():
     a = Vector([1, 2])
     b = Vector([3, -1])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from ldt.batch import cell_from_sample, infer_set
-from ldt.geometry import Family, Sign, SignVector, Vector, sign_of
+from ldt.geometry import Family, Sign, Vector, sign_of
 from ldt.inference import build_sorted_sample
 from ldt.lp import RationalCell, infer_sign
 from ldt.oracle import HiddenPointOracle
@@ -21,11 +21,29 @@ def _sample(member_vecs, secret):
 def test_sorted_sample_frozen_units():
     # secret (2,1,1): values 2,1,1 -> sorted e2,e3,e1 with gaps (0, +)
     sample, _, oracle = _sample([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 1, 1))
-    assert sample.labels == [Sign.PLUS, Sign.PLUS, Sign.PLUS]
+    assert sample.labels.tolist() == [1, 1, 1]
     assert (sample.order, sample.starts) == ([1, 2, 0], [0, 2])
     # 3 labels, and the sort plus gaps fit the merge budget
     assert oracle.ledger.label_count == 3
     assert oracle.ledger.comparison_count <= 6
+
+
+def test_sorted_sample_holds_the_oracle_labels():
+    # the sort keeps the oracle's int8 label array as it is
+    family = Family.of(Vector(v) for v in [(1, 0), (0, 1), (1, -1), (0, 0)])
+    oracle = HiddenPointOracle(Vector([2, 3]))
+    answered = []
+    query_rows = oracle.query_rows
+
+    def recording(fam, ids):
+        labels, compare = query_rows(fam, ids)
+        answered.append(labels)
+        return labels, compare
+
+    oracle.query_rows = recording
+    sample = build_sorted_sample(range(4), family, oracle)
+    assert sample.labels is answered[0]
+    assert sample.labels.dtype == np.int8 and sample.labels.tolist() == [1, 1, -1, 0]
 
 
 def test_sorted_sample_comparison_budget():
@@ -122,17 +140,17 @@ def test_block_sort_matches_stable_sort(dim, value_range, size, data):
     oracle = HiddenPointOracle(Vector(secret), log_queries=True)
     sample = build_sorted_sample(ids, family, oracle)
 
-    assert sample.labels == [sign_of(v) for v in values]
+    assert sample.labels.tolist() == [sign_of(v) for v in values]
     assert _order_and_gaps(sample) == _reference_sort(values)
     assert sample.ids == ids
-    label_of = dict(zip(ids, sample.labels))
+    label_of = dict(zip(ids, sample.labels.tolist()))
     pairs = [e["ids"] for e in oracle.ledger.log if e["kind"] == "cmp"]
     seen = set()
     for a, b in pairs:
-        assert label_of[a] is label_of[b] is not Sign.ZERO
+        assert label_of[a] == label_of[b] != 0
         assert frozenset((a, b)) not in seen
         seen.add(frozenset((a, b)))
-    counts = [sample.labels.count(lab) for lab in (Sign.MINUS, Sign.PLUS)]
+    counts = [int((sample.labels == lab).sum()) for lab in (-1, 1)]
     budget = sum(c * math.ceil(math.log2(c)) for c in counts if c)
     assert oracle.ledger.snapshot() == (size, len(pairs))
     assert len(pairs) <= budget
@@ -185,18 +203,20 @@ def test_infer_set_matches_per_hyperplane():
     family = Family.of(list(members) + extra)
     live = range(len(vecs), len(family))
     outcome = infer_set(cell_from_sample(sample, family), live, family)
+    inferred = dict(zip(outcome.inferred.tolist(), outcome.signs.tolist()))
     ref = RationalCell(sample, family)
     for ident, v in zip(live, extra):
         expected = infer_sign(ref, v)
         if expected is None:
             assert ident in outcome.undetermined
         else:
-            assert outcome.inferred[ident] is expected
+            assert inferred[ident] == expected
 
 
 def test_infer_set_echoes_sample_labels():
     sample, family, _ = _sample([(1, 0), (0, 1)], (3, 1))
     outcome = infer_set(cell_from_sample(sample, family), [0, 1], family)
-    assert outcome.inferred == SignVector({0: Sign.PLUS, 1: Sign.PLUS})
+    assert outcome.inferred.tolist() == [0, 1]
+    assert outcome.signs.tolist() == [1, 1]
     assert outcome.undetermined.tolist() == []
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +171,28 @@ def test_ordering_count_within_bound():
 def test_crosschecks_clean():
     assert crosscheck_feasibility(120, seed=1) == (120, 120)
     assert crosscheck_inference(40, seed=1) == (40, 40)
+
+
+_WRONG_WITNESS = """
+from ldt import lab
+from ldt.geometry import Sign, Vector
+
+# every open cell claims the origin, where each row vanishes, as its witness
+lab._open_cells = lambda rows, dim: [(tuple(Sign.PLUS for _ in rows), Vector.zero(dim))]
+try:
+    lab.enumerate_cells([Vector([1, 0]), Vector([0, 1])])
+except lab.WitnessError:
+    print("typed error")
+"""
+
+
+def test_wrong_cell_witness_raises_under_optimize():
+    # python -O strips assert statements; the witness check must stay
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_WITNESS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "typed error"

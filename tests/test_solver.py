@@ -199,9 +199,10 @@ def test_coordinates_past_int64_are_decided_exactly():
     sample = build_sorted_sample(range(2), family, HiddenPointOracle(secret))
     outcome = infer_set(cell_from_sample(sample, family), [2, 3], family)
     truth = ground_truth_pattern(family, secret)
-    assert outcome.inferred[2] is truth[2] is Sign.PLUS
-    for ident, sign in outcome.inferred.items():
-        assert sign is truth[ident]
+    inferred = dict(zip(outcome.inferred.tolist(), outcome.signs.tolist()))
+    assert inferred[2] == truth[2] == Sign.PLUS
+    for ident, sign in inferred.items():
+        assert sign == truth[ident]
 
     # a whole solve over enough rows for an inference round, with huge
     # rows among the sample members
