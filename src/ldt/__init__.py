@@ -8,14 +8,7 @@ subset sum, sumset sorting, linear degeneracy testing, zero triangles)
 read their answers off that pattern.
 """
 
-from .geometry import (
-    Family,
-    Rational,
-    Sign,
-    SignVector,
-    Vector,
-    sign_of,
-)
+from .geometry import Family, Rational, Vector, sign_of
 from .batch import ChainCell, cell_from_sample, infer_set
 from .inference import (
     InconsistentSampleError,
@@ -53,8 +46,6 @@ __all__ = [
     "QueryLedger",
     "Rational",
     "RationalCell",
-    "Sign",
-    "SignVector",
     "SizeCapError",
     "SolveConfig",
     "SolveReport",

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a lab check fails, 2 on unparsable
-input, 3 when an instance is refused for exceeding an enumeration cap.
+input or an unusable argument, 3 when an instance is refused for
+exceeding an enumeration cap.
 """
 
 from __future__ import annotations
@@ -10,10 +11,13 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
 
-from .geometry import SignVector, Vector, parse_rational
+import numpy as np
+
+from .geometry import Vector, parse_rational
 from .lab import (
     check_ordering_count,
     cone_certificate,
@@ -102,17 +106,24 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         seed=args.seed,
         sample_constant=parse_rational(args.sample_constant),
     )
-    start = time.perf_counter()
-    # an empty family has the empty pattern: nothing vanishes, and a
-    # single pairwise sum is one group
-    report = solve(enc.family, oracle, config) if enc.family else None
-    pattern = report.pattern if report else SignVector.from_arrays([], [])
-    answer = extract_answer(enc, pattern)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-
+    # the log is opened first, so a path that cannot be written is
+    # refused before any query is spent
+    log = None
     if args.log_queries is not None:
-        with open(args.log_queries, "w", encoding="utf-8") as fp:
-            oracle.ledger.export_jsonl(fp)
+        try:
+            log = open(args.log_queries, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.log_queries}: {exc}") from None
+    with log or nullcontext():
+        start = time.perf_counter()
+        # an empty family has the empty pattern: nothing vanishes, and a
+        # single pairwise sum is one group
+        report = solve(enc.family, oracle, config) if enc.family else None
+        pattern = report.pattern if report else np.zeros(0, np.int8)
+        answer = extract_answer(enc, pattern)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        if log is not None:
+            oracle.ledger.export_jsonl(log)
 
     labels, comparisons = oracle.ledger.snapshot()
     payload = {
@@ -176,6 +187,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 raise InstanceFormatError(f"bad size {tok!r}") from None
     if not sizes:
         raise InstanceFormatError("no sizes given")
+    # refused before any draw: an instance needs a value, and a k-subset
+    # of a size-n instance needs 1 <= k <= n
+    for size in sizes:
+        if size < 1:
+            raise InstanceFormatError(f"size {size} is below 1")
+        if args.problem == "ksum" and not 1 <= args.k <= size:
+            raise InstanceFormatError(f"--k {args.k} is outside 1..{size}")
     print("size,trial,planted,answer,label_queries,comparison_queries,rounds,correct")
     failures = 0
     for size in sizes:

@@ -2,18 +2,20 @@
 
 Every sign decision in this package is made with arbitrary-precision
 rational arithmetic.  Floats never touch a comparison: a point that is
-exactly on a hyperplane must report ZERO, and no fixed precision can
+exactly on a hyperplane must report 0, and no fixed precision can
 promise that.
+
+A sign is the int -1, 0 or 1.  A sign pattern is one read-only int8
+array of signs, indexed by family row.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from enum import IntEnum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,27 +47,13 @@ def format_rational(q: Rational) -> str:
     return str(Fraction(q))
 
 
-class Sign(IntEnum):
-    """Sign of an exact inner product; ordered MINUS < ZERO < PLUS."""
-
-    MINUS = -1
-    ZERO = 0
-    PLUS = 1
-
-    @property
-    def char(self) -> str:
-        return _SIGN_TO_CHAR[self]
-
-
-_SIGN_TO_CHAR = {Sign.MINUS: "-", Sign.ZERO: "0", Sign.PLUS: "+"}
-
-
-def sign_of(q: Rational | int) -> Sign:
+def sign_of(q: Rational | int) -> int:
+    """-1, 0 or 1 as q is negative, zero or positive."""
     if q > 0:
-        return Sign.PLUS
+        return 1
     if q < 0:
-        return Sign.MINUS
-    return Sign.ZERO
+        return -1
+    return 0
 
 
 class Vector:
@@ -271,117 +259,16 @@ class Family(Sequence[Vector]):
         return f"Family({len(self)} rows, dim {self.dim}, den {self.den})"
 
 
-_SIGNS = (Sign.MINUS, Sign.ZERO, Sign.PLUS)
-_SIGN_CHARS = bytes.maketrans(b"\x00\x01\x02", b"-0+")
-
-
-class SignVector:
-    """Sign pattern of a point against an identified hyperplane family.
-
-    Maps hyperplane identifier to the Sign of the corresponding inner
-    product, held as two aligned arrays: the identifiers in ascending
-    order and their signs as int8 (-1, 0, 1).  Equality is entrywise,
-    which makes patterns directly comparable across runs.
-    """
-
-    __slots__ = ("_ids", "_signs", "_entries")
-
-    def __init__(self, entries: Mapping[int, Sign]) -> None:
-        items = sorted(entries.items())
-        self._hold(
-            np.array([i for i, _ in items], dtype=np.int64),
-            np.array([int(s) for _, s in items], dtype=np.int8),
-        )
-        object.__setattr__(self, "_entries", dict(items))
-
-    @classmethod
-    def from_arrays(cls, ids: Sequence[int], signs: Sequence[int]) -> "SignVector":
-        """The pattern giving identifier ids[j] the sign signs[j]."""
-        ids = np.array(ids, dtype=np.int64)
-        signs = np.array(signs, dtype=np.int8)
-        if ids.shape != signs.shape or ids.ndim != 1:
-            raise ValueError("one sign per identifier")
-        if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
-            order = np.argsort(ids, kind="stable")
-            ids, signs = ids[order], signs[order]
-            if (ids[1:] == ids[:-1]).any():
-                raise ValueError("identifier given two signs")
-        if signs.size and (signs.min() < -1 or signs.max() > 1):
-            raise ValueError("signs are -1, 0 or 1")
-        out = cls.__new__(cls)
-        out._hold(ids, signs)
-        return out
-
-    def _hold(self, ids: np.ndarray, signs: np.ndarray) -> None:
-        ids.flags.writeable = False
-        signs.flags.writeable = False
-        object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_signs", signs)
-        object.__setattr__(self, "_entries", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SignVector is immutable")
-
-    def _lookup(self) -> dict[int, Sign]:
-        """Identifier to Sign, built on the first lookup by identifier."""
-        if self._entries is None:
-            signs = [_SIGNS[s] for s in (self._signs + 1).tolist()]
-            object.__setattr__(self, "_entries", dict(zip(self._ids.tolist(), signs)))
-        return self._entries
-
-    def __getitem__(self, ident: int) -> Sign:
-        return self._lookup()[ident]
-
-    def get(self, ident: int, default: Sign | None = None) -> Sign | None:
-        return self._lookup().get(ident, default)
-
-    def __contains__(self, ident: int) -> bool:
-        return ident in self._lookup()
-
-    def __len__(self) -> int:
-        return self._ids.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignVector):
-            return NotImplemented
-        return np.array_equal(self._ids, other._ids) and np.array_equal(
-            self._signs, other._signs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending identifiers and their int8 signs, read-only."""
-        return self._ids, self._signs
-
-    def prefix(self, length: int) -> np.ndarray:
-        """Signs of identifiers 0..length-1 as one int8 array; KeyError
-        when one of them is missing."""
-        ids = self._ids
-        if length and not (
-            ids.size >= length and ids[0] == 0 and ids[length - 1] == length - 1
-        ):
-            raise KeyError(next(i for i in range(length) if i not in self))
-        return self._signs[:length]
-
-    def items(self) -> list[tuple[int, Sign]]:
-        return list(self._lookup().items())
-
-    def contains_zero(self) -> bool:
-        return not self._signs.all()
-
-    def as_string(self) -> str:
-        return (self._signs + 1).astype(np.uint8).tobytes().translate(_SIGN_CHARS).decode()
-
-    def __repr__(self) -> str:
-        return f"SignVector({self.as_string()!r})"
-
-
-def ground_truth_pattern(family: Sequence[Vector], x: Vector) -> SignVector:
+def ground_truth_pattern(family: Sequence[Vector], x: Vector) -> np.ndarray:
     """Full sign pattern of x against a family, indexed by position.
 
     Trusted-side helper: tests and answer verification call this, the
     solver must never be able to reach it (it would leak the hidden
-    point).
+    point).  Each sign is an exact Vector.dot, independent of the
+    solver's matrix products.
     """
-    return SignVector({i: sign_of(h.dot(x)) for i, h in enumerate(family)})
+    pattern = np.fromiter(
+        (sign_of(h.dot(x)) for h in family), dtype=np.int8, count=len(family)
+    )
+    pattern.flags.writeable = False
+    return pattern

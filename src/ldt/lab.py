@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Family, Sign, Vector, sign_of
+from .geometry import Family, Vector, sign_of
 from .inference import SortedSample
 from .lp import HomogeneousSystem, RationalCell, feasible, infer_sign, interior_witness
 from .problems import SizeCapError
@@ -125,7 +125,7 @@ class CellEnumeration:
     """All sign patterns of an arrangement, witnessed."""
 
     count: int
-    patterns: list[tuple[Sign, ...]]
+    patterns: list[tuple[int, ...]]
     witnesses: list[Vector]
     exact: bool
 
@@ -177,18 +177,18 @@ def _kernel_cols(rows: list[Vector], dim: int) -> list[list[Fraction]]:
 
 def _open_cells(
     rows: list[Vector], dim: int
-) -> list[tuple[tuple[Sign, ...], Vector]]:
+) -> list[tuple[tuple[int, ...], Vector]]:
     """Open cells of a strict arrangement, each with an interior witness."""
-    states: list[tuple[list[Sign], list[Vector], Vector]] = [
+    states: list[tuple[list[int], list[Vector], Vector]] = [
         ([], [], Vector.zero(dim))
     ]
     for r in rows:
         nxt = []
         for pattern, constraints, wit in states:
             s = sign_of(r.dot(wit))
-            for cand in (Sign.PLUS, Sign.MINUS):
-                row = r if cand is Sign.PLUS else -r
-                if s is cand:
+            for cand in (1, -1):
+                row = r if cand == 1 else -r
+                if s == cand:
                     nxt.append((pattern + [cand], constraints + [row], wit))
                     continue
                 w2 = interior_witness(
@@ -211,7 +211,7 @@ def _enumerate_exact(family: Sequence[Vector], dim: int) -> CellEnumeration:
             if key not in seen:
                 seen[key] = cand
                 queue.append(cand)
-    patterns: list[tuple[Sign, ...]] = []
+    patterns: list[tuple[int, ...]] = []
     witnesses: list[Vector] = []
     for span_rows in seen.values():
         key = _rref_key(span_rows, dim)
@@ -228,7 +228,7 @@ def _enumerate_exact(family: Sequence[Vector], dim: int) -> CellEnumeration:
             # the span is everything; only the origin remains, and it
             # belongs here exactly when no row stays live
             if not live_ids:
-                patterns.append(tuple([Sign.ZERO] * len(family)))
+                patterns.append((0,) * len(family))
                 witnesses.append(Vector.zero(dim))
             continue
         reduced = [
@@ -244,7 +244,7 @@ def _enumerate_exact(family: Sequence[Vector], dim: int) -> CellEnumeration:
             for i in live_ids
         ]
         for sub_pattern, sub_wit in _open_cells(reduced, k):
-            full = [Sign.ZERO] * len(family)
+            full = [0] * len(family)
             for pos, i in enumerate(live_ids):
                 full[i] = sub_pattern[pos]
             lifted = Vector(
@@ -253,7 +253,7 @@ def _enumerate_exact(family: Sequence[Vector], dim: int) -> CellEnumeration:
                     for j in range(dim)
                 ]
             )
-            if any(sign_of(h.dot(lifted)) is not s for h, s in zip(family, full)):
+            if any(sign_of(h.dot(lifted)) != s for h, s in zip(family, full)):
                 raise WitnessError(f"lifted witness {lifted} misses its pattern")
             patterns.append(tuple(full))
             witnesses.append(lifted)
@@ -293,7 +293,7 @@ def sample_cell_patterns(
         raise ValueError("family must be nonempty")
     dim = family[0].dim
     rng = SplitMix64(seed)
-    found: dict[tuple[Sign, ...], Vector] = {}
+    found: dict[tuple[int, ...], Vector] = {}
     for _ in range(trials):
         x = Vector(
             [
@@ -566,9 +566,9 @@ def crosscheck_inference(trials: int, seed: int = 0) -> tuple[int, int]:
             achievable = [
                 s
                 for s, can in (
-                    (Sign.PLUS, can_plus),
-                    (Sign.MINUS, can_minus),
-                    (Sign.ZERO, can_zero),
+                    (1, can_plus),
+                    (-1, can_minus),
+                    (0, can_zero),
                 )
                 if can
             ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .geometry import Family, Sign, Vector, sign_of
+from .geometry import Family, Vector, sign_of
 
 if TYPE_CHECKING:
     from .inference import SortedSample
@@ -277,29 +277,24 @@ class RationalCell:
         self.witness = interior_witness(self.constraints)
 
 
-def infer_sign(cell: RationalCell, h: Vector) -> Sign | None:
+def infer_sign(cell: RationalCell, h: Vector) -> int | None:
     """Sign of h over the whole cell, or None when both signs occur.
 
     The candidate sign is read off at the interior witness; it stands
     exactly when every alternative sign is infeasible against the cell.
     """
     if h.is_zero():
-        return Sign.ZERO
+        return 0
     w = cell.witness
     if w is None:
         raise ValueError("cell is empty; it cannot have come from a real sample")
     b = sign_of(h.dot(w))
     base = cell.constraints
-    if b is Sign.PLUS:
-        if not feasible(base.augmented(weak=[-h])):
-            return Sign.PLUS
-        return None
-    if b is Sign.MINUS:
-        if not feasible(base.augmented(weak=[h])):
-            return Sign.MINUS
-        return None
+    if b:
+        # b stands unless the cell also reaches the closed side against it
+        return None if feasible(base.augmented(weak=[h.scaled(-b)])) else b
     if not feasible(base.augmented(strict=[h])) and not feasible(
         base.augmented(strict=[-h])
     ):
-        return Sign.ZERO
+        return 0
     return None

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Family, Rational, SignVector, Vector, parse_rational
+from .geometry import Family, Rational, Vector, parse_rational
 from .prng import SplitMix64
 
 
@@ -294,19 +294,23 @@ def encode_zero_triangles(
     )
 
 
-def extract_answer(enc: Encoding, pattern: SignVector):
+def extract_answer(enc: Encoding, pattern: np.ndarray):
     """Read the problem's answer off a full sign pattern.
 
-    Decision problems answer True when any hyperplane vanishes.  The
-    ordering problem rebuilds the sorted groups of pairwise sums and
-    cross-checks every comparison for consistency first; a pattern no
-    point could produce raises instead of returning garbage.
+    pattern holds one sign (-1, 0 or 1) per family row, in row order;
+    any other length raises ValueError.  Decision problems answer the
+    bool True when any hyperplane vanishes.  The ordering problem
+    rebuilds the sorted groups of pairwise sums and cross-checks every
+    comparison for consistency first; a pattern no point could produce
+    raises instead of returning garbage.
     """
+    signs = np.asarray(pattern)
+    if signs.shape != (len(enc.family),):
+        raise ValueError(f"pattern of shape {signs.shape} for {len(enc.family)} rows")
     if enc.kind != "sortsumset":
-        return pattern.contains_zero()
+        return not signs.all()
     nb = enc.meta["nb"]
     p, q = enc.meta["compared"].T
-    signs = pattern.prefix(len(enc.family))
     m = enc.meta["na"] * nb
     # cmp[p, q] is the sign of sum_p - sum_q
     cmp = np.zeros((m, m), dtype=np.int8)

@@ -19,8 +19,8 @@ W (Family.top).  The live set is an ascending array of row indices.
 The oracle is asked about rows by index (HiddenPointOracle.query_rows),
 and a round's sorted sample names its members by the same indices, so a
 solve builds no Vector.  Signs stay int8 arrays of -1, 0 and 1 from the
-oracle's answers to the reported pattern, so a solve builds no Sign
-either.  A strict oracle checks once per query call
+oracle's answers to the reported pattern, which is one read-only int8
+array indexed by family row.  A strict oracle checks once per query call
 that the family is the declared one, so every label it answers is about
 a declared member and every comparison about the difference of two.
 """
@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .batch import cell_from_sample, infer_set
-from .geometry import Family, SignVector, Vector
+from .geometry import Family, Vector
 from .inference import build_sorted_sample
 from .oracle import HiddenPointOracle
 from .prng import SplitMix64
@@ -89,7 +89,9 @@ class RoundStats:
 
 @dataclass
 class SolveReport:
-    pattern: SignVector
+    """pattern holds the sign of every family row, read-only int8."""
+
+    pattern: np.ndarray
     rounds: list[RoundStats]
     final_labels: int
     label_queries: int
@@ -103,6 +105,13 @@ class SolveReport:
     @property
     def total_queries(self) -> int:
         return self.label_queries + self.comparison_queries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SolveReport):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        same = np.array_equal(mine.pop("pattern"), theirs.pop("pattern"))
+        return same and mine == theirs
 
 
 def solve(
@@ -122,7 +131,7 @@ def solve(
     n = family.dim
 
     # duplicates copy the sign of their first occurrence, zero rows are
-    # ZERO, and every other row starts live
+    # 0, and every other row starts live
     alias, live = family.first_copies()
     signs = np.zeros(m, dtype=np.int8)
 
@@ -164,8 +173,10 @@ def solve(
     signs[live] = labels
 
     after = oracle.ledger.snapshot()
+    pattern = signs[alias]
+    pattern.flags.writeable = False
     return SolveReport(
-        pattern=SignVector.from_arrays(np.arange(m), signs[alias]),
+        pattern=pattern,
         rounds=rounds,
         final_labels=final_labels,
         label_queries=after[0] - before[0],

@@ -12,7 +12,7 @@ import math
 import time
 from fractions import Fraction
 
-from ldt.geometry import Sign, Vector, ground_truth_pattern, sign_of
+from ldt.geometry import Vector, ground_truth_pattern
 from ldt.lab import (
     check_ordering_count,
     cone_certificate,
@@ -56,10 +56,8 @@ def _solve_audited(enc, seed):
     oracle = HiddenPointOracle(enc.hidden)
     report = solve(enc.family, oracle, SolveConfig(seed=seed))
     truth = ground_truth_pattern(enc.family, enc.hidden)
-    for i in range(len(enc.family)):
-        AUDIT["checked"] += 1
-        if report.pattern[i] is not truth[i]:
-            AUDIT["mismatch"] += 1
+    AUDIT["checked"] += len(enc.family)
+    AUDIT["mismatch"] += int((report.pattern != truth).sum())
     return report, extract_answer(enc, report.pattern)
 
 

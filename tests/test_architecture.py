@@ -137,3 +137,11 @@ def test_benchmark_hooks_name_existing_bindings():
         assert callable(getattr(importlib.import_module(module), attr, None)), (
             f"{module}.{attr}"
         )
+
+
+def test_package_exports_resolve():
+    # a name deleted from its module must leave ldt.__all__ with it
+    package = importlib.import_module("ldt")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing, missing
+    assert len(set(package.__all__)) == len(package.__all__)

@@ -102,6 +102,21 @@ def test_solve_writes_query_log(ksum_file, tmp_path, capsys):
     assert first["kind"] in ("label", "cmp")
 
 
+def test_unwritable_query_log_is_refused_before_the_solve(
+    ksum_file, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr("ldt.cli.solve", refuse)
+    log = tmp_path / "missing" / "q.jsonl"
+    argv = ["solve", "ksum", "--input", ksum_file, "--k", "3", "--log-queries", str(log)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {log}")
+    assert captured.out == ""
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("one two three\n")
@@ -187,6 +202,23 @@ def test_bench_reproducible(capsys):
         assert main(["bench", "subsetsum", "--sizes", "8", "--trials", "3"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ksum", "--sizes", "5", "--k", "0"],
+        ["ksum", "--sizes", "8,4", "--k", "5"],
+        ["subsetsum", "--sizes", "0"],
+        ["subsetsum", "--sizes", "6,-1"],
+    ],
+)
+def test_bench_refuses_sizes_it_cannot_draw(argv, capsys):
+    # refused with a message before any instance is drawn or solved
+    assert main(["bench", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_lab_cells_record(capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ldt.geometry import Sign, Vector
+from ldt.geometry import Vector
 from ldt.lp import HomogeneousSystem, feasible
 from ldt.lab import (
     SizeCapError,
@@ -67,7 +67,7 @@ def test_cell_enumeration_is_exact_and_consistent_with_sampling():
     assert set(sampled.patterns) <= set(exact.patterns)
     # random rational points almost never hit lower-dimensional cells,
     # but every full-dimensional one should appear
-    full_dim = [p for p in exact.patterns if Sign.ZERO not in p]
+    full_dim = [p for p in exact.patterns if 0 not in p]
     assert set(full_dim) <= set(sampled.patterns)
 
 
@@ -175,10 +175,10 @@ def test_crosschecks_clean():
 
 _WRONG_WITNESS = """
 from ldt import lab
-from ldt.geometry import Sign, Vector
+from ldt.geometry import Vector
 
 # every open cell claims the origin, where each row vanishes, as its witness
-lab._open_cells = lambda rows, dim: [(tuple(Sign.PLUS for _ in rows), Vector.zero(dim))]
+lab._open_cells = lambda rows, dim: [((1,) * len(rows), Vector.zero(dim))]
 try:
     lab.enumerate_cells([Vector([1, 0]), Vector([0, 1])])
 except lab.WitnessError:

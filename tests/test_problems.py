@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ldt import problems
-from ldt.geometry import Family, Sign, SignVector, Vector, ground_truth_pattern
+from ldt.geometry import Family, Vector, ground_truth_pattern
 from ldt.oracle import HiddenPointOracle
 from ldt.prng import SplitMix64
 from ldt.problems import (
@@ -124,14 +124,44 @@ def test_extract_answer_rejects_corrupt_pattern():
     a = [Fraction(0), Fraction(1)]
     b = [Fraction(0), Fraction(2)]
     enc = encode_sort_sumset(a, b)
-    pattern = ground_truth_pattern(enc.family, enc.hidden)
-    broken = {i: pattern[i] for i in range(len(enc.family))}
+    broken = ground_truth_pattern(enc.family, enc.hidden).copy()
     flip = 0
-    broken[flip] = Sign(-pattern[flip]) if pattern[flip] is not Sign.ZERO else Sign.PLUS
-    from ldt.geometry import SignVector
+    broken[flip] = -broken[flip] if broken[flip] else 1
 
     with pytest.raises(InconsistentPatternError):
-        extract_answer(enc, SignVector(broken))
+        extract_answer(enc, broken)
+
+
+def _one_encoding_per_kind():
+    rng = SplitMix64(31)
+    encodings = (
+        encode_ksum(random_ksum_instance(rng, 6, 3, planted=True), 3),
+        encode_subset_sum(random_subset_sum_instance(rng, 5, planted=False)),
+        encode_sort_sumset(*random_sumset_instance(rng, 2, 3)),
+        encode_kldt(*random_kldt_instance(rng, 5, 2, planted=False)),
+        encode_zero_triangles(*random_triangles_instance(rng, 8, planted=True)),
+    )
+    return {enc.kind: enc for enc in encodings}
+
+
+@pytest.mark.parametrize("kind", ["ksum", "subsetsum", "sortsumset", "kldt", "triangles"])
+def test_extract_answer_refuses_a_pattern_of_the_wrong_length(kind):
+    enc = _one_encoding_per_kind()[kind]
+    truth = ground_truth_pattern(enc.family, enc.hidden)
+    assert len(truth) > 1
+    for wrong in (truth[:-1], np.append(truth, 0), truth[:0], truth.reshape(1, -1)):
+        with pytest.raises(ValueError, match="pattern of shape"):
+            extract_answer(enc, wrong)
+
+
+def test_extract_answer_decides_with_a_python_bool():
+    answers = set()
+    for enc in _one_encoding_per_kind().values():
+        if enc.kind != "sortsumset":
+            answer = _answer(enc)
+            assert type(answer) is bool
+            answers.add(answer)
+    assert answers == {False, True}
 
 
 def test_kldt_encoding_frozen():
@@ -372,12 +402,12 @@ def _ordering_reference(enc, pattern):
     m = enc.meta["na"] * nb
     cmp = [[None] * m for _ in range(m)]
     for ident, (p, q) in enumerate(combinations(range(m), 2)):
-        s = pattern[ident]
+        s = int(pattern[ident])
         cmp[p][q] = s
-        cmp[q][p] = Sign(-s)
+        cmp[q][p] = -s
     for p in range(m):
-        cmp[p][p] = Sign.ZERO
-    rank = [sum(1 for q in range(m) if cmp[p][q] is Sign.PLUS) for p in range(m)]
+        cmp[p][p] = 0
+    rank = [sum(1 for q in range(m) if cmp[p][q] == 1) for p in range(m)]
     order = sorted(range(m), key=lambda p: rank[p])
     groups = []
     for p in order:
@@ -392,10 +422,10 @@ def _ordering_reference(enc, pattern):
         base += len(g)
     for gi, g in enumerate(groups):
         for p in g:
-            if any(cmp[p][q] is not Sign.ZERO for q in g):
+            if any(cmp[p][q] != 0 for q in g):
                 raise InconsistentPatternError("grouped but not tied")
             for hg in groups[gi + 1 :]:
-                if any(cmp[p][q] is not Sign.MINUS for q in hg):
+                if any(cmp[p][q] != -1 for q in hg):
                     raise InconsistentPatternError("ordered inconsistently")
     return [sorted((p // nb + 1, p % nb + 1) for p in g) for g in groups]
 
@@ -407,14 +437,12 @@ def test_ordering_matches_reference_on_true_and_corrupt_patterns(seed):
     a = [rng.randint(-2, 2) for _ in range(na)]
     b = [rng.randint(-2, 2) for _ in range(nb)]
     enc = encode_sort_sumset(a, b)
-    truth = ground_truth_pattern(enc.family, enc.hidden)
-    entries = dict(truth.items())
+    pattern = ground_truth_pattern(enc.family, enc.hidden).copy()
     # flip, zero or keep a few entries; most corruptions are inconsistent
     for _ in range(rng.below(3)):
-        if entries:
-            i = rng.below(len(entries))
-            entries[i] = Sign(rng.randint(-1, 1))
-    pattern = SignVector(entries)
+        if len(pattern):
+            i = rng.below(len(pattern))
+            pattern[i] = rng.randint(-1, 1)
     try:
         want = _ordering_reference(enc, pattern)
     except InconsistentPatternError:

@@ -102,7 +102,7 @@ def test_infer_set_sound_and_complete(secret, data):
             assert ident in outcome.undetermined
         else:
             assert inferred[ident] == slow
-            assert slow is sign_of(h.dot(x))
+            assert slow == sign_of(h.dot(x))
 
 
 @settings(max_examples=25, deadline=None)
@@ -126,7 +126,7 @@ def test_solver_zero_error_property(seed, dim, data):
     oracle = HiddenPointOracle(x)
     report = solve(family, oracle, SolveConfig(seed=seed))
     for i, h in enumerate(family):
-        assert report.pattern[i] is sign_of(h.dot(x))
+        assert report.pattern[i] == sign_of(h.dot(x))
 
 
 @given(
@@ -195,12 +195,12 @@ def test_whole_solves_on_degenerate_families(family, data, constant, seed):
     dim = family[0].dim
     x = Vector(data.draw(st.lists(rationals, min_size=dim, max_size=dim)))
     if data.draw(st.booleans()):
-        # put the point on one of the hyperplanes, so ZERO signs occur
+        # put the point on one of the hyperplanes, so zero signs occur
         h = data.draw(st.sampled_from(family)).coords
         x = Vector([h[1], -h[0]] + [0] * (dim - 2))
     config = SolveConfig(seed=seed, sample_constant=constant)
     report = solve(family, HiddenPointOracle(x), config)
-    assert report.pattern == ground_truth_pattern(family, x)
+    assert np.array_equal(report.pattern, ground_truth_pattern(family, x))
 
     # the same rows given as one integer matrix over a common denominator
     den = lcm(*(c.denominator for v in family for c in v.coords))

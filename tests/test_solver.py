@@ -8,11 +8,12 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ldt.batch import cell_from_sample, infer_set
 from ldt.cli import main
-from ldt.geometry import Family, Sign, Vector, ground_truth_pattern
+from ldt.geometry import Family, Vector, ground_truth_pattern
 from ldt.inference import build_sorted_sample
 from ldt.oracle import HiddenPointOracle
 from ldt.prng import SplitMix64
@@ -59,10 +60,8 @@ def test_solve_frozen_instance():
     enc = encode_ksum([Fraction(v) for v in values], 3)
     oracle = HiddenPointOracle(enc.hidden)
     report = solve(enc.family, oracle, SolveConfig(seed=0))
-    assert report.pattern.contains_zero()
-    truth = ground_truth_pattern(enc.family, enc.hidden)
-    for i in range(len(enc.family)):
-        assert report.pattern[i] is truth[i]
+    assert not report.pattern.all()
+    assert np.array_equal(report.pattern, ground_truth_pattern(enc.family, enc.hidden))
     assert report.total_queries == sum(oracle.ledger.snapshot())
 
 
@@ -71,9 +70,28 @@ def test_solve_unique_zero_triple():
     enc = encode_ksum([Fraction(v) for v in (1, 2, -3, 7, 11, 13)], 3)
     oracle = HiddenPointOracle(enc.hidden)
     report = solve(enc.family, oracle, SolveConfig(seed=5))
-    zeros = [i for i in range(len(enc.family)) if report.pattern[i] is Sign.ZERO]
+    zeros = [i for i in range(len(enc.family)) if report.pattern[i] == 0]
     assert len(zeros) == 1
     assert list(combinations(range(6), 3))[zeros[0]] == (0, 1, 2)
+
+
+def test_pattern_is_a_read_only_int8_array_equal_to_the_ground_truth():
+    rng = SplitMix64(25)
+    encodings = (
+        encode_ksum(random_ksum_instance(rng, 12, 3, planted=True), 3),
+        encode_subset_sum(random_subset_sum_instance(rng, 8, planted=True)),
+        encode_sort_sumset(*random_sumset_instance(rng, 5, 5)),
+        encode_kldt(*random_kldt_instance(rng, 7, 2, planted=True)),
+        encode_zero_triangles(*random_triangles_instance(rng, 12, planted=True)),
+    )
+    for seed, enc in enumerate(encodings):
+        report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed))
+        truth = ground_truth_pattern(enc.family, enc.hidden)
+        for pattern in (report.pattern, truth):
+            assert isinstance(pattern, np.ndarray) and pattern.dtype == np.int8
+            assert pattern.shape == (len(enc.family),)
+            assert not pattern.flags.writeable
+        assert np.array_equal(report.pattern, truth)
 
 
 def test_solve_rejects_empty_and_mixed_dims():
@@ -94,10 +112,7 @@ def test_solve_handles_duplicates_and_zero_vector():
     ]
     oracle = HiddenPointOracle(secret)
     report = solve(family, oracle, SolveConfig(seed=0))
-    assert report.pattern[0] is Sign.PLUS
-    assert report.pattern[1] is Sign.PLUS
-    assert report.pattern[2] is Sign.ZERO
-    assert report.pattern[3] is Sign.MINUS
+    assert report.pattern.tolist() == [1, 1, 0, -1]
     assert oracle.ledger.label_count == 2
 
 
@@ -111,7 +126,7 @@ def test_solve_deterministic_per_seed():
     assert a.label_queries == b.label_queries
     assert a.comparison_queries == b.comparison_queries
     assert [r.inferred for r in a.rounds] == [r.inferred for r in b.rounds]
-    assert all(a.pattern[i] is b.pattern[i] for i in range(len(enc.family)))
+    assert np.array_equal(a.pattern, b.pattern)
 
 
 def test_seeds_change_queries_not_answers():
@@ -122,9 +137,7 @@ def test_seeds_change_queries_not_answers():
         oracle = HiddenPointOracle(enc.hidden)
         report = solve(enc.family, oracle, SolveConfig(seed=seed))
         totals.add(report.total_queries)
-        patterns.add(
-            "".join(report.pattern[i].char for i in range(len(enc.family)))
-        )
+        patterns.add(report.pattern.tobytes())
     assert len(patterns) == 1
     assert len(totals) > 1  # randomness shows up in cost only
 
@@ -134,8 +147,7 @@ def test_sample_constant_shrinks_sample():
     oracle = HiddenPointOracle(enc.hidden)
     small = solve(enc.family, oracle, SolveConfig(seed=0, sample_constant=Fraction(1, 2)))
     assert small.d_estimate == 34  # 16/2 * log2(18) rounded up
-    truth = ground_truth_pattern(enc.family, enc.hidden)
-    assert all(small.pattern[i] is truth[i] for i in range(len(enc.family)))
+    assert np.array_equal(small.pattern, ground_truth_pattern(enc.family, enc.hidden))
 
 
 def test_strict_mode_round_trip():
@@ -146,7 +158,7 @@ def test_strict_mode_round_trip():
         oracle = HiddenPointOracle(enc.hidden, strict_family=family)
         report = solve(family, oracle, SolveConfig(seed=2))
         assert report.rounds
-        assert all(report.pattern[i] is truth[i] for i in range(len(enc.family)))
+        assert np.array_equal(report.pattern, truth)
 
 
 _CONTRADICTORY_SOLVE = """
@@ -200,7 +212,7 @@ def test_coordinates_past_int64_are_decided_exactly():
     outcome = infer_set(cell_from_sample(sample, family), [2, 3], family)
     truth = ground_truth_pattern(family, secret)
     inferred = dict(zip(outcome.inferred.tolist(), outcome.signs.tolist()))
-    assert inferred[2] == truth[2] == Sign.PLUS
+    assert inferred[2] == truth[2] == 1
     for ident, sign in inferred.items():
         assert sign == truth[ident]
 
@@ -212,7 +224,7 @@ def test_coordinates_past_int64_are_decided_exactly():
         x = Vector([Fraction(5, 3), Fraction(-7, 2)])
         report = solve(rows, HiddenPointOracle(x), SolveConfig(seed, Fraction(1, 8)))
         assert report.rounds
-        assert report.pattern == ground_truth_pattern(rows, x)
+        assert np.array_equal(report.pattern, ground_truth_pattern(rows, x))
 
 
 def test_solve_materialises_only_the_rows_it_queries(monkeypatch):
@@ -297,7 +309,7 @@ def test_solve_path_never_runs_the_rational_reference(monkeypatch, tmp_path, cap
     for seed, enc in enumerate((ksum, subset, sumset)):
         report = solve(enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed))
         assert report.rounds
-        assert report.pattern == ground_truth_pattern(enc.family, enc.hidden)
+        assert np.array_equal(report.pattern, ground_truth_pattern(enc.family, enc.hidden))
 
     inst = tmp_path / "inst.txt"
     inst.write_text(" ".join(map(str, values)) + "\n")
@@ -312,7 +324,7 @@ def _audited_rounds(enc, seed, sample_constant):
         enc.family, HiddenPointOracle(enc.hidden), SolveConfig(seed, sample_constant)
     )
     assert report.rounds
-    assert report.pattern == ground_truth_pattern(enc.family, enc.hidden)
+    assert np.array_equal(report.pattern, ground_truth_pattern(enc.family, enc.hidden))
     return report.rounds, extract_answer(enc, report.pattern)
 
 
