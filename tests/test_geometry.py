@@ -11,6 +11,7 @@ from ldt.geometry import (
     parse_rational,
     sign_of,
 )
+from ldt.oracle import HiddenPointOracle
 from ldt.problems import encode_sort_sumset
 
 
@@ -31,9 +32,18 @@ def test_sign_of():
     assert sign_of(Fraction(5)) == 1
     assert sign_of(Fraction(0)) == 0
     assert sign_of(Fraction(-1, 9)) == -1
+
+
+def test_sign_flipped_and_char():
     # a sign is a plain int, so flipping it is negation
     for q in (Fraction(5), Fraction(0), Fraction(-1, 9), -7):
         assert type(sign_of(q)) is int and sign_of(-q) == -sign_of(q)
+    # the query log writes a sign as one of "-", "0", "+"
+    oracle = HiddenPointOracle(Vector([1, 1]), log_queries=True)
+    fam = Family.of([Vector([-1, 0]), Vector([1, -1]), Vector([0, 3])])
+    labels, _ = oracle.query_rows(fam, [0, 1, 2])
+    assert labels.tolist() == [-1, 0, 1]
+    assert [e["answer"] for e in oracle.ledger.log] == ["-", "0", "+"]
 
 
 def test_vector_integer_fast_path():
